@@ -422,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--db", type=float, default=None, help="ancilla squeezing in dB")
     verify.add_argument("--grid", type=int, default=None, help="grid points per angle")
     verify.add_argument("--tol", type=float, default=None)
-    verify.add_argument("--json", action="store_true", help="JSON output (default)")
     verify.add_argument("--csv", action="store_true", help="flat CSV rows instead of JSON")
     verify.set_defaults(func=_run_verify)
 

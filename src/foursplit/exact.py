@@ -6,15 +6,19 @@ Every matrix entry produced by a network of balanced beam splitters lies in
     { (a + b*sqrt(2)) / sqrt(2)**m  :  a, b integers, m >= 0 },
 
 so products, transposes and equality tests of such matrices can be carried
-out without any floating point arithmetic.  :class:`ExactScalar` stores the
-triple ``(a, b, m)`` in a normalized form and :class:`ExactMatrix` is a dense
-square matrix of such scalars.
+out without any floating point arithmetic.  This is the one kernel for that
+ring: :class:`ExactMatrix` holds int64 parts ``A``, ``B`` at one exponent ``m``,
+:func:`ring_matmul` multiplies single or stacked parts, and
+:func:`signs_of_halves` reads the signs of balanced matrices exactly.
+:class:`ExactScalar` is the entry view, serializer and reference arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Iterable, Sequence
+
+import numpy as np
 
 SQRT2 = math.sqrt(2.0)
 
@@ -113,7 +117,10 @@ class ExactScalar:
         return (self.a + self.b * SQRT2) / SQRT2**self.m
 
     def __abs__(self) -> ExactScalar:
-        return -self if float(self) < 0 else self
+        # a + b*sqrt2 takes the sign of whichever of a**2, 2*b**2 is larger
+        a, b = self.a, self.b
+        negative = (a < 0 and a * a > 2 * b * b) or (b < 0 and 2 * b * b > a * a)
+        return -self if negative else self
 
     def __repr__(self) -> str:
         return f"ExactScalar({self.a}, {self.b}, {self.m})"
@@ -142,29 +149,74 @@ class ExactScalar:
         raise ValueError(f"not a serialized exact scalar: {s!r}")
 
 
-ZERO = ExactScalar.zero()
-ONE = ExactScalar.one()
 INV_SQRT2 = ExactScalar.inv_sqrt2()
 HALF = ExactScalar(1, 0, 2)
 
 
-class ExactMatrix:
-    """A square matrix with :class:`ExactScalar` entries.
+def ring_matmul(a1: np.ndarray, b1: np.ndarray, a2: np.ndarray, b2: np.ndarray) -> tuple:
+    """Parts of (A1 + B1*sqrt2) @ (A2 + B2*sqrt2): (A1A2 + 2B1B2, A1B2 + B1A2).
 
-    Instances are immutable and hashable, so sets of matrices deduplicate by
-    exact value.  Mode indices in the named constructors are 1-based, the
-    convention used throughout for optical modes.
+    Takes single (n, n) or stacked (..., n, n) int64 arrays; the caller adds
+    the exponents.  Raises OverflowError where an entry could leave int64.
+    """
+    # magnitudes as Python ints, so neither they nor the bound can wrap
+    mags = (max(int(x.max(initial=0)), -int(x.min(initial=0))) for x in (a1, b1, a2, b2))
+    ma1, mb1, ma2, mb2 = mags
+    bound = a1.shape[-1] * max(ma1 * ma2 + 2 * mb1 * mb2, ma1 * mb2 + mb1 * ma2)
+    if bound > np.iinfo(np.int64).max:
+        raise OverflowError("exact matrix product exceeds the int64 range")
+    return a1 @ a2 + 2 * (b1 @ b2), a1 @ b2 + b1 @ a2
+
+
+def signs_of_halves(a: np.ndarray, b: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(mask, signs): which (stacked) matrices have every entry +-1/2, and 2R there.
+
+    At exponent m, 1/2 has parts (2**((m-2)/2), 0) for even m and (0, 2**((m-3)/2))
+    for odd m; below m = 2 no magnitude matches (the -1 below)."""
+    rational, irrational = (a, b) if m % 2 == 0 else (b, a)
+    ok = (np.abs(rational) == (1 << (m - 2) // 2 if m >= 2 else -1)).all(axis=(-2, -1))
+    return ok & (irrational == 0).all(axis=(-2, -1)), np.sign(rational).astype(np.int8)
+
+
+def _assign(mat: ExactMatrix, a: np.ndarray, b: np.ndarray, m: int) -> ExactMatrix:
+    if m < 0:
+        raise ValueError(f"denominator exponent must be >= 0, got {m}")
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    # (A + B*sqrt2)/sqrt2^m == (B + (A/2)*sqrt2)/sqrt2^(m-1) when A is even
+    while m > 0 and not (a & 1).any():
+        a, b, m = b, a >> 1, m - 1
+    a.setflags(write=False)
+    b.setflags(write=False)
+    object.__setattr__(mat, "A", a)
+    object.__setattr__(mat, "B", b)
+    object.__setattr__(mat, "m", m)
+    return mat
+
+
+class ExactMatrix:
+    """A square matrix (A + B*sqrt(2)) / sqrt(2)**m with integer matrices A, B.
+
+    ``A`` and ``B`` are read-only int64 arrays, canonical: ``m == 0`` or some
+    entry of ``A`` is odd.  Equal matrices have equal ``(A, B, m)``, so
+    equality and hashing compare arrays and sets deduplicate by exact value.
+    Leaving the int64 range raises OverflowError.  Named constructors take
+    1-based mode indices, the convention used throughout for optical modes.
     """
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("A", "B", "m")
 
     def __init__(self, rows: Iterable[Iterable[ExactScalar]]) -> None:
         tup = tuple(tuple(r) for r in rows)
         n = len(tup)
         if any(len(r) != n for r in tup):
             raise ValueError("matrix must be square")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", tup)
+        m = max((x.m for r in tup for x in r), default=0)
+        parts = np.array([x._lift(m) for r in tup for x in r], dtype=np.int64).reshape(n, n, 2)
+        _assign(self, parts[..., 0], parts[..., 1], m)
+
+    @classmethod
+    def _from_parts(cls, a: np.ndarray, b: np.ndarray, m: int) -> ExactMatrix:
+        return _assign(object.__new__(cls), a, b, m)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ExactMatrix is immutable")
@@ -173,63 +225,62 @@ class ExactMatrix:
 
     @staticmethod
     def identity(n: int) -> ExactMatrix:
-        return ExactMatrix(
-            [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-        )
+        return ExactMatrix.from_ints(np.eye(n, dtype=np.int64))
 
     @staticmethod
     def from_ints(rows: Sequence[Sequence[int]], denom_exp: int = 0) -> ExactMatrix:
         """Matrix of integers, each divided by sqrt(2)**denom_exp."""
-        return ExactMatrix(
-            [[ExactScalar(v, 0, denom_exp) for v in r] for r in rows]
-        )
+        a = np.array(rows, dtype=np.int64)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError("matrix must be square")
+        return ExactMatrix._from_parts(a, np.zeros_like(a), denom_exp)
 
     # -- algebra ------------------------------------------------------------
+
+    @property
+    def n(self) -> int:
+        return self.A.shape[0]
+
+    @property
+    def rows(self) -> tuple[tuple[ExactScalar, ...], ...]:
+        """Entry view: every entry as a canonical :class:`ExactScalar`."""
+        return tuple(
+            tuple(ExactScalar(a, b, self.m) for a, b in zip(ra, rb))
+            for ra, rb in zip(self.A.tolist(), self.B.tolist())
+        )
 
     def __matmul__(self, other: ExactMatrix) -> ExactMatrix:
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        n = self.n
-        cols = tuple(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            out_row = []
-            for col in cols:
-                acc = ZERO
-                for x, y in zip(row, col):
-                    acc = acc + x * y
-                out_row.append(acc)
-            out.append(out_row)
-        return ExactMatrix(out)
+        a, b = ring_matmul(self.A, self.B, other.A, other.B)
+        return ExactMatrix._from_parts(a, b, self.m + other.m)
 
     def transpose(self) -> ExactMatrix:
-        return ExactMatrix(zip(*self.rows))
-
-    def __neg__(self) -> ExactMatrix:
-        return ExactMatrix([[-x for x in r] for r in self.rows])
-
-    def scale(self, s: ExactScalar) -> ExactMatrix:
-        return ExactMatrix([[s * x for x in r] for r in self.rows])
+        return ExactMatrix._from_parts(self.A.T, self.B.T, self.m)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self.rows == other.rows
+        same = self.m == other.m and np.array_equal(self.A, other.A)
+        return same and np.array_equal(self.B, other.B)
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash((self.m, self.A.shape, self.A.tobytes(), self.B.tobytes()))
 
     def __getitem__(self, ij: tuple[int, int]) -> ExactScalar:
         i, j = ij
-        return self.rows[i][j]
+        return ExactScalar(int(self.A[i, j]), int(self.B[i, j]), self.m)
 
     def is_orthogonal(self) -> bool:
         """Exact test of M @ M.T == identity."""
         return self @ self.transpose() == ExactMatrix.identity(self.n)
 
-    def to_float(self):
-        import numpy as np
+    def doubled_signs(self) -> np.ndarray | None:
+        """2R as a +-1 int8 array when every entry is +-1/2, else None."""
+        ok, signs = signs_of_halves(self.A, self.B, self.m)
+        return signs if ok else None
 
+    def to_float(self) -> np.ndarray:
         return np.array([[float(x) for x in r] for r in self.rows], dtype=float)
 
     def text_rows(self) -> list[list[str]]:
@@ -250,12 +301,11 @@ def beam_splitter_matrix(n: int, src: int, dst: int) -> ExactMatrix:
     if src == dst or not (1 <= src <= n) or not (1 <= dst <= n):
         raise ValueError(f"invalid mode pair ({src}, {dst}) for {n} modes")
     j, k = src - 1, dst - 1
-    rows = [[ONE if i == c else ZERO for c in range(n)] for i in range(n)]
-    rows[j][j] = INV_SQRT2
-    rows[j][k] = -INV_SQRT2
-    rows[k][j] = INV_SQRT2
-    rows[k][k] = INV_SQRT2
-    return ExactMatrix(rows)
+    # sqrt(2) * R: the block's integers in A, sqrt(2) on the untouched modes in B
+    a = np.zeros((n, n), dtype=np.int64)
+    a[[j, j, k, k], [j, k, j, k]] = (1, -1, 1, 1)
+    b = np.diag([0 if i in (j, k) else 1 for i in range(n)])
+    return ExactMatrix._from_parts(a, b, 1)
 
 
 def permutation_matrix(n: int, perm: Sequence[int]) -> ExactMatrix:
@@ -266,10 +316,7 @@ def permutation_matrix(n: int, perm: Sequence[int]) -> ExactMatrix:
     """
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError(f"not a permutation of 1..{n}: {perm}")
-    rows = [[ZERO] * n for _ in range(n)]
-    for i, p in enumerate(perm):
-        rows[i][p - 1] = ONE
-    return ExactMatrix(rows)
+    return ExactMatrix.from_ints(np.eye(n, dtype=np.int64)[[p - 1 for p in perm]])
 
 
 def swap_matrix(n: int, j: int, k: int) -> ExactMatrix:
@@ -283,8 +330,4 @@ def negation_matrix(n: int, j: int) -> ExactMatrix:
     """Diagonal matrix negating mode j (1-based): a mode-local sign flip."""
     if not (1 <= j <= n):
         raise ValueError(f"mode {j} out of range for {n} modes")
-    rows = [
-        [(-ONE if (i == j - 1 and i == c) else ONE if i == c else ZERO) for c in range(n)]
-        for i in range(n)
-    ]
-    return ExactMatrix(rows)
+    return ExactMatrix.from_ints(np.diag([-1 if i == j else 1 for i in range(1, n + 1)]))

@@ -12,7 +12,6 @@ set membership) with converters to numpy and exact form.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Iterable
@@ -33,11 +32,6 @@ def from_array(arr: np.ndarray) -> SignMatrix:
     if not np.all(np.abs(arr) == 1):
         raise ValueError("not a sign matrix")
     return tuple(int(v) for v in np.asarray(arr, dtype=np.int64).ravel())
-
-
-def to_exact(h: SignMatrix) -> ExactMatrix:
-    """The sign matrix itself, entries +-1."""
-    return ExactMatrix.from_ints(to_array(h).tolist())
 
 
 def half_exact(h: SignMatrix) -> ExactMatrix:
@@ -103,7 +97,7 @@ def class_parity(h: SignMatrix) -> int:
 
 
 def _signed_row_perms(n: int = 4) -> np.ndarray:
-    """All n! * 2**n signed permutation matrices, shape (384, 4, 4) for n=4."""
+    """All n! * 2**n signed permutation matrices, by permutation, then row signs (+1 first)."""
     mats = []
     eye = np.eye(n, dtype=np.int16)
     for perm in permutations(range(n)):
@@ -158,9 +152,6 @@ class RealizationCensus:
             "counts": dict(sorted(self.counts.items())),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), ensure_ascii=False, indent=2)
-
 
 def _pack_keys(mats: np.ndarray) -> np.ndarray:
     """Map sign matrices (..., 4, 4) to 16-bit integer keys."""
@@ -182,8 +173,8 @@ def realization_census(network_matrices: Iterable[ExactMatrix]) -> RealizationCe
     """
     phys = []
     for mat in network_matrices:
-        doubled = np.rint(2 * mat.to_float()).astype(np.int16)
-        if not np.all(np.abs(doubled) == 1):
+        doubled = mat.doubled_signs()
+        if doubled is None:
             raise ValueError("network matrix is not a balanced four-splitter")
         phys.append(doubled)
     phys_arr = np.stack(phys)  # (96, 4, 4)

@@ -7,16 +7,14 @@ four-splitter enumeration on four modes, the structural characterization of
 which sequences produce a balanced four-splitter, and the census of physically
 distinct networks.
 
-Enumeration fast path: over the ring of integers adjoined sqrt(2), a product
-of four splitter matrices is (A + B*sqrt(2))/4 with integer matrices A, B, so
-the whole 12**4 candidate sweep runs in vectorized int64 arithmetic with no
-tolerances.  The pure :class:`~foursplit.exact.ExactMatrix` route is kept as a
-cross-check.
+The 12**4 candidate sweep is the stacked form of the exact kernel: it
+multiplies the splitter matrices' int64 parts with
+:func:`~foursplit.exact.ring_matmul`, the product :class:`ExactMatrix` uses,
+so it needs no tolerances.  :meth:`BsNetwork.matrix` is kept as a cross-check.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from itertools import product as iter_product
@@ -24,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact import ExactMatrix, ExactScalar, beam_splitter_matrix
+from .exact import ExactMatrix, beam_splitter_matrix, ring_matmul, signs_of_halves
 
 Pair = tuple[int, int]
 
@@ -70,10 +68,6 @@ class BsNetwork:
         return BsNetwork(self.n_modes, tuple((d, s) for s, d in reversed(self.sequence)))
 
 
-def network_matrix(net: BsNetwork) -> ExactMatrix:
-    return net.matrix()
-
-
 def is_balanced_foursplitter(mat: ExactMatrix) -> bool:
     """True iff ``mat`` is 4x4 orthogonal with every entry of magnitude 1/2.
 
@@ -84,8 +78,7 @@ def is_balanced_foursplitter(mat: ExactMatrix) -> bool:
         return False
     if not mat.is_orthogonal():
         raise ValueError("matrix is not orthogonal")
-    half = ExactScalar(1, 0, 2)
-    return all(x == half or x == -half for row in mat.rows for x in row)
+    return mat.doubled_signs() is not None
 
 
 def structural_conditions(net: BsNetwork) -> tuple[bool, bool, bool]:
@@ -115,22 +108,6 @@ def structural_conditions(net: BsNetwork) -> tuple[bool, bool, bool]:
 # -- vectorized exact enumeration -------------------------------------------
 
 
-def _splitter_int_parts() -> tuple[np.ndarray, np.ndarray]:
-    """(A, B) with sqrt(2) * R_splitter = A + B * sqrt(2), per splitter index."""
-    a = np.zeros((12, 4, 4), dtype=np.int64)
-    b = np.zeros((12, 4, 4), dtype=np.int64)
-    for idx, (s, d) in enumerate(SPLITTER_PAIRS):
-        j, k = s - 1, d - 1
-        a[idx, j, j] = 1
-        a[idx, j, k] = -1
-        a[idx, k, j] = 1
-        a[idx, k, k] = 1
-        for m in range(4):
-            if m not in (j, k):
-                b[idx, m, m] = 1
-    return a, b
-
-
 def enumerate_candidates() -> np.ndarray:
     """All 12**4 splitter-index sequences in odometer order, shape (20736, 4).
 
@@ -140,19 +117,15 @@ def enumerate_candidates() -> np.ndarray:
 
 
 def _balanced_mask(idx: np.ndarray) -> np.ndarray:
-    """Exact balancedness of each candidate sequence, via int64 ring arithmetic.
-
-    The running product after four factors is (A + B*sqrt(2))/4; an entry has
-    magnitude 1/2 iff (a, b) = (+-2, 0), since sqrt(2) is irrational.
-    """
-    a_parts, b_parts = _splitter_int_parts()
-    acc_a = a_parts[idx[:, 0]]
-    acc_b = b_parts[idx[:, 0]]
+    """Exact balancedness of each candidate sequence: the stacked kernel.  The
+    splitters share one canonical exponent m, so four-factor products sit at 4m."""
+    splitters = [beam_splitter_matrix(4, s, d) for s, d in SPLITTER_PAIRS]
+    (m,) = {sp.m for sp in splitters}
+    a_parts, b_parts = np.stack([sp.A for sp in splitters]), np.stack([sp.B for sp in splitters])
+    acc_a, acc_b = a_parts[idx[:, 0]], b_parts[idx[:, 0]]
     for step in range(1, 4):
-        sa = a_parts[idx[:, step]]
-        sb = b_parts[idx[:, step]]
-        acc_a, acc_b = sa @ acc_a + 2 * (sb @ acc_b), sa @ acc_b + sb @ acc_a
-    return (np.abs(acc_a) == 2).all(axis=(1, 2)) & (acc_b == 0).all(axis=(1, 2))
+        acc_a, acc_b = ring_matmul(a_parts[idx[:, step]], b_parts[idx[:, step]], acc_a, acc_b)
+    return signs_of_halves(acc_a, acc_b, 4 * m)[0]
 
 
 def _conditions_mask(idx: np.ndarray) -> np.ndarray:
@@ -217,9 +190,14 @@ def verify_theorem2(cross_check_stride: int = 0) -> Theorem2Report:
     condition-pass count is reported from the run rather than assumed.
 
     ``cross_check_stride`` > 0 additionally recomputes every balanced
-    candidate and every stride-th unbalanced one through the scalar
-    :class:`ExactMatrix` route and asserts agreement with the vectorized path.
+    candidate and every stride-th unbalanced one, network by network,
+    through :meth:`BsNetwork.matrix` and asserts agreement with the sweep.
     """
+    return _sweep(cross_check_stride)[0]
+
+
+def _sweep(cross_check_stride: int = 0) -> tuple[Theorem2Report, np.ndarray]:
+    """The theorem-2 report and the balanced candidates' index rows."""
     t0 = time.perf_counter()
     idx = enumerate_candidates()
     balanced = _balanced_mask(idx)
@@ -237,7 +215,7 @@ def verify_theorem2(cross_check_stride: int = 0) -> Theorem2Report:
         balanced_count=int(balanced.sum()),
         counterexample_indices=mismatches.tolist(),
         elapsed_seconds=time.perf_counter() - t0,
-    )
+    ), idx[balanced]
 
 
 # -- canonical form and census -----------------------------------------------
@@ -271,9 +249,7 @@ def canonical_form(net: BsNetwork) -> BsNetwork:
 
 def _sign_key(mat: ExactMatrix) -> str:
     """Sign string of a balanced four-splitter (entries +-1/2), row-major."""
-    return "".join(
-        "+" if x.a > 0 else "-" for row in mat.rows for x in row
-    )
+    return "".join("+" if v > 0 else "-" for v in mat.doubled_signs().ravel())
 
 
 @dataclass
@@ -304,9 +280,6 @@ class CensusReport:
             },
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), ensure_ascii=False, indent=2)
-
 
 def physical_census() -> CensusReport:
     """Classify all balanced four-splitter sequences.
@@ -315,12 +288,10 @@ def physical_census() -> CensusReport:
     adjacent disjoint commutation), computes each class matrix exactly, and
     histograms how many classes share a matrix.
     """
-    rep = verify_theorem2()
-    idx = enumerate_candidates()
-    passing = np.nonzero(_balanced_mask(idx))[0]
+    rep, passing = _sweep()
     classes: set[tuple[Pair, ...]] = set()
-    for i in passing:
-        classes.add(canonical_form(sequence_from_indices(idx[i])).sequence)
+    for indices in passing:
+        classes.add(canonical_form(sequence_from_indices(indices)).sequence)
     by_matrix: dict[str, list[tuple[Pair, ...]]] = {}
     for seq in sorted(classes):
         key = _sign_key(BsNetwork(4, seq).matrix())

@@ -25,19 +25,20 @@ CONDITION_FLOOR = 1e-14
 class GaussianState:
     """Zero-indexed internals, one-indexed mode arguments throughout."""
 
-    __slots__ = ("n_modes", "mean", "cov")
+    __slots__ = ("n_modes", "mean", "cov", "_scale")
 
-    def __init__(self, n_modes: int, mean: np.ndarray, cov: np.ndarray) -> None:
+    def __init__(self, n_modes: int, mean: np.ndarray, cov: np.ndarray, *, _scale: float = 1.0):
+        # internal _scale: the largest magnitude a derived state passed through
         mean = np.asarray(mean, dtype=float).reshape(2 * n_modes)
         cov = np.asarray(cov, dtype=float).reshape(2 * n_modes, 2 * n_modes)
+        scale = max(_scale, float(np.abs(cov).max(initial=1.0)))
         if n_modes:  # measuring out the last mode leaves a legitimate empty state
-            scale = max(1.0, float(np.abs(cov).max()))
             if np.abs(cov - cov.T).max() > SYMMETRY_TOL * scale:
                 raise ValueError("covariance matrix is not symmetric")
             herm = cov + 0.5j * omega(n_modes)
             least = np.linalg.eigvalsh(herm).min()
-            # Tolerance scales with the matrix norm: strongly squeezed states
-            # carry entries of order 1e6 whose eigenvalues carry matching noise.
+            # Tolerance scales with the magnitudes passed through: entries of order
+            # 1e6 leave eigenvalue noise that conditioning to small entries keeps.
             if least < -UNCERTAINTY_TOL * scale:
                 raise ValueError(
                     f"covariance violates the uncertainty relation (eig {least:.3e})"
@@ -45,6 +46,7 @@ class GaussianState:
         object.__setattr__(self, "n_modes", n_modes)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", 0.5 * (cov + cov.T))
+        object.__setattr__(self, "_scale", scale)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("GaussianState is immutable")
@@ -79,7 +81,10 @@ def apply(op: SymplecticOp, state: GaussianState) -> GaussianState:
     if op.n_modes != state.n_modes:
         raise ValueError(f"operator acts on {op.n_modes} modes, state has {state.n_modes}")
     s = op.matrix
-    return GaussianState(state.n_modes, s @ state.mean + op.shift, s @ state.cov @ s.T)
+    # rounding in S C S^T grows with |S|_2^2 = max eig(S^T S) (Higham, Accuracy and Stability)
+    scale = state._scale * np.linalg.eigvalsh(s.T @ s)[-1]
+    mean, cov = s @ state.mean + op.shift, s @ state.cov @ s.T
+    return GaussianState(state.n_modes, mean, cov, _scale=scale)
 
 
 def homodyne(
@@ -108,7 +113,7 @@ def homodyne(
     cross = rotated.cov[keep, pi]
     mean = rotated.mean[keep] + cross * (outcome - rotated.mean[pi]) / var
     cov = rotated.cov[np.ix_(keep, keep)] - np.outer(cross, cross) / var
-    return outcome, GaussianState(state.n_modes - 1, mean, cov)
+    return outcome, GaussianState(state.n_modes - 1, mean, cov, _scale=rotated._scale)
 
 
 def _place(

@@ -23,6 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .exact import (
+    HALF,
+    INV_SQRT2,
     ExactMatrix,
     ExactScalar,
     beam_splitter_matrix,
@@ -30,6 +32,7 @@ from .exact import (
     permutation_matrix,
     swap_matrix,
 )
+from .hadamard import _signed_row_perms
 from .networks import BsNetwork, Pair, is_balanced_foursplitter
 
 SQRT2_INV = 2 ** -0.5
@@ -144,10 +147,6 @@ def architecture(name: str) -> Architecture:
         ) from None
 
 
-def architecture_network(name: str) -> BsNetwork:
-    return architecture(name).network()
-
-
 def architecture_matrix(name: str) -> ExactMatrix:
     return architecture(name).matrix()
 
@@ -198,37 +197,29 @@ _PREFERRED_DECOMP: dict[str, Decomposition] = {
 def qrl_decomposition(name: str) -> tuple[Decomposition, list[Decomposition]]:
     """Express a completed architecture as signed row/column ops on QRL.
 
-    Searches every (row permutation, row negation set, column negation set),
-    4! * 2**4 * 2**4 = 6144 combinations, and returns the conventional
-    solution first along with the full solution list (the relation is never
-    unique: eight sign/permutation redressings preserve the reference
-    matrix).  Raises for architectures whose matrix is not a balanced
-    four-splitter, where no such relation can exist.
+    Compares all 4! * 2**4 * 2**4 = 6144 (row permutation, row negation set,
+    column negation set) combinations at once on the sign matrices 2R, and
+    returns the conventional solution first along with all solutions in that
+    nesting order (the relation is never unique: eight sign/permutation
+    redressings preserve the reference matrix).  Raises for architectures
+    whose matrix is not a balanced four-splitter, where none can exist.
     """
     target = architecture_matrix(name)
     if not is_balanced_foursplitter(target):
         raise ValueError(f"{name} is not a completed architecture")
     ref = architecture_matrix("QRL")
-    ref_i = np.rint(2 * ref.to_float()).astype(np.int64)
-    tgt_i = np.rint(2 * target.to_float()).astype(np.int64)
-    solutions: list[Decomposition] = []
-    for perm in permutations(range(4)):
-        permuted = ref_i[list(perm)]
-        for row_signs in product((1, -1), repeat=4):
-            rowed = np.diag(row_signs) @ permuted
-            for col_signs in product((1, -1), repeat=4):
-                if np.array_equal(rowed @ np.diag(col_signs), tgt_i):
-                    solutions.append(
-                        Decomposition(
-                            row_perm=tuple(p + 1 for p in perm),
-                            row_negations=tuple(
-                                i + 1 for i, s in enumerate(row_signs) if s < 0
-                            ),
-                            col_negations=tuple(
-                                i + 1 for i, s in enumerate(col_signs) if s < 0
-                            ),
-                        )
-                    )
+    lefts = _signed_row_perms()  # (384, 4, 4)
+    col_signs = np.array(list(product((1, -1), repeat=4)))  # (16, 4)
+    candidates = (lefts @ ref.doubled_signs())[:, None] * col_signs[None, :, None, :]
+    hits = (candidates == target.doubled_signs()).all(axis=(2, 3))  # (384, 16)
+    solutions = [
+        Decomposition(
+            row_perm=tuple(int(p) + 1 for p in np.abs(lefts[li]).argmax(axis=1)),
+            row_negations=tuple(int(i) + 1 for i in np.nonzero(lefts[li].sum(axis=1) < 0)[0]),
+            col_negations=tuple(int(i) + 1 for i in np.nonzero(col_signs[ci] < 0)[0]),
+        )
+        for li, ci in np.argwhere(hits)
+    ]
     for sol in solutions:
         if sol.apply(ref) != target:
             raise AssertionError("integer search and exact verification disagree")
@@ -242,16 +233,13 @@ def qrl_decomposition(name: str) -> tuple[Decomposition, list[Decomposition]]:
 
 # -- incompleteness ----------------------------------------------------------
 
-_HALF = ExactScalar(1, 0, 2)
-_ISQ2 = ExactScalar(1, 0, 1)
-
 
 def _line_pattern(line: Sequence[ExactScalar]) -> str | None:
     """Classify a row/column: 'mixing' (two 0, two +-1/sqrt2), 'balanced'
     (all +-1/2), or None."""
     zeros = sum(1 for x in line if x.is_zero())
-    isq = sum(1 for x in line if x == _ISQ2 or x == -_ISQ2)
-    halves = sum(1 for x in line if x == _HALF or x == -_HALF)
+    isq = sum(1 for x in line if x == INV_SQRT2 or x == -INV_SQRT2)
+    halves = sum(1 for x in line if x == HALF or x == -HALF)
     if zeros == 2 and isq == 2:
         return "mixing"
     if halves == len(line):

@@ -96,6 +96,24 @@ class TestVerifyCommand:
         with pytest.raises(json.JSONDecodeError):
             json.loads(out)
 
+    def test_verify_all_contract(self, capsys):
+        code, out = run_cli(capsys, "verify", "all")
+        assert code == 1
+        report = json.loads(out)["report"]
+        assert len(report) == 10
+        assert list(report) == [s for s in cli.VERIFY_SUBJECTS if s != "all"]
+        assert [s for s, sub in report.items() if not sub["passed"]] == ["dictionary"]
+        failing = [e for e in report["dictionary"]["report"]["entries"] if not e["pass"]]
+        assert [(e["gate"], e["architecture"]) for e in failing] == [
+            ("fourier_conjugated_CZ(+1)", "vcMSG")
+        ]
+        assert failing[0]["deviation"] == pytest.approx(1.0, abs=1e-9)
+        t2 = report["theorem2"]["report"]
+        assert (t2["candidates"], t2["condition_pass"], t2["balanced"]) == (20736, 384, 384)
+        census = report["census"]["report"]
+        assert (census["physical_classes"], census["distinct_matrices"]) == (96, 40)
+        assert census["multiplicity_histogram"] == {"2": 24, "3": 16}
+
     def test_seed_recorded_in_parameters(self, capsys):
         code, out = run_cli(capsys, "verify", "insertion", "--seed", "42")
         assert code == 0

@@ -12,12 +12,37 @@ from foursplit.exact import (
     beam_splitter_matrix,
     negation_matrix,
     permutation_matrix,
+    ring_matmul,
     swap_matrix,
 )
 
 small_ints = st.integers(min_value=-40, max_value=40)
 small_exps = st.integers(min_value=0, max_value=6)
 scalars = st.builds(ExactScalar, small_ints, small_ints, small_exps)
+
+
+def square_rows(n):
+    return st.lists(st.lists(scalars, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+square_pairs = st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.tuples(square_rows(n), square_rows(n))
+)
+
+
+def reference_matmul(x, y):
+    """Entrywise product in ExactScalar arithmetic, the independent reference."""
+    n = len(x)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = ExactScalar.zero()
+            for k in range(n):
+                acc = acc + x[i][k] * y[k][j]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
 
 
 class TestExactScalar:
@@ -72,6 +97,18 @@ class TestExactScalar:
     def test_negation_cancels(self, x):
         assert x + (-x) == ExactScalar.zero()
 
+    def test_abs_is_exact_below_float_resolution(self):
+        # (1 - sqrt2)**23 < 0, but its float evaluates to exactly 0.0
+        x = ExactScalar(318281039, -225058681, 0)
+        assert float(x) == 0.0
+        assert abs(x) == -x
+        assert abs(-x) == -x
+
+    @given(scalars)
+    def test_abs_matches_float_sign(self, x):
+        assert abs(x) in (x, -x)
+        assert float(abs(x)) == pytest.approx(abs(float(x)), abs=1e-9)
+
 
 class TestExactMatrix:
     def test_identity_is_orthogonal(self):
@@ -81,6 +118,8 @@ class TestExactMatrix:
         m = ExactMatrix.from_ints([[1, -1], [1, 1]], denom_exp=1)
         assert m.is_orthogonal()
         assert np.allclose(m.to_float(), np.array([[1, -1], [1, 1]]) / math.sqrt(2))
+        with pytest.raises(ValueError, match="square"):
+            ExactMatrix.from_ints([[1, 2, 3]])
 
     def test_matmul_matches_float_product(self):
         a = beam_splitter_matrix(3, 1, 2)
@@ -100,6 +139,54 @@ class TestExactMatrix:
         b = beam_splitter_matrix(4, 1, 3)
         assert a == b
         assert hash(a) == hash(b)
+
+    @given(square_pairs)
+    def test_kernel_matmul_matches_entrywise_reference(self, pair):
+        x, y = pair
+        assert (ExactMatrix(x) @ ExactMatrix(y)).rows == reference_matmul(x, y)
+
+    @given(square_pairs)
+    def test_kernel_transpose_and_equality_match_entries(self, pair):
+        x, y = pair
+        mx, my = ExactMatrix(x), ExactMatrix(y)
+        assert mx.rows == tuple(map(tuple, x))
+        assert mx.transpose().rows == tuple(zip(*x))
+        assert (mx == my) == (x == y)
+        assert mx == ExactMatrix([list(r) for r in x])
+        assert hash(mx) == hash(ExactMatrix([list(r) for r in x]))
+
+    @given(
+        st.lists(st.lists(small_ints, min_size=3, max_size=3), min_size=3, max_size=3),
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=1, max_value=6),
+    )
+    def test_one_matrix_at_different_exponents_is_equal(self, ints, m, k):
+        # x / sqrt2**m written again with numerators scaled by 2**k at m + 2k
+        lifted = [[v << k for v in r] for r in ints]
+        a = ExactMatrix.from_ints(ints, m)
+        b = ExactMatrix.from_ints(lifted, m + 2 * k)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert (a.m, a.A.tolist(), a.B.tolist()) == (b.m, b.A.tolist(), b.B.tolist())
+
+    def test_overflow_raises_instead_of_wrapping(self):
+        with pytest.raises(OverflowError):
+            ExactMatrix.from_ints([[2**63]])
+        with pytest.raises(OverflowError):
+            ExactMatrix([[ExactScalar(2**70)]])
+        big = ExactMatrix.from_ints([[2**31, 2**31], [2**31, 2**31]])
+        with pytest.raises(OverflowError):
+            big @ big  # entries 2 * 2**62 = 2**63
+        stack = np.full((3, 2, 2), 2**31, dtype=np.int64)
+        with pytest.raises(OverflowError):
+            ring_matmul(stack, 0 * stack, stack, 0 * stack)
+
+    def test_doubled_signs(self):
+        signs = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
+        half = ExactMatrix.from_ints([[2 * v for v in r] for r in signs], 4)
+        assert np.array_equal(half.doubled_signs(), signs)
+        assert ExactMatrix.from_ints(signs).doubled_signs() is None
+        assert beam_splitter_matrix(4, 1, 2).doubled_signs() is None
 
     def test_text_rows_round_trip(self):
         m = beam_splitter_matrix(3, 3, 1)

@@ -82,7 +82,7 @@ def test_non_orthogonal_rows_excluded():
 def test_realization_census_counts():
     start = time.monotonic()
     mats = [
-        networks.network_matrix(networks.BsNetwork.of(4, seq))
+        networks.BsNetwork.of(4, seq).matrix()
         for sequences in networks.physical_census().representatives.values()
         for seq in sequences
     ]
@@ -97,7 +97,7 @@ def test_realization_census_counts():
 
 def test_realized_set_equals_hadamard_class():
     mats = [
-        networks.network_matrix(networks.BsNetwork.of(4, seq))
+        networks.BsNetwork.of(4, seq).matrix()
         for sequences in networks.physical_census().representatives.values()
         for seq in sequences
     ]

@@ -10,7 +10,6 @@ from foursplit.networks import (
     BsNetwork,
     canonical_form,
     is_balanced_foursplitter,
-    network_matrix,
     physical_census,
     sequence_from_indices,
     structural_conditions,
@@ -31,21 +30,21 @@ def test_twelve_directed_pairs():
 def test_known_balanced_sequence():
     net = BsNetwork.of(4, [(1, 2), (3, 4), (1, 3), (2, 4)])
     assert structural_conditions(net) == (True, True, True)
-    assert is_balanced_foursplitter(network_matrix(net))
+    assert is_balanced_foursplitter(net.matrix())
 
 
 def test_repeated_pair_fails_condition_three():
     net = BsNetwork.of(4, [(1, 2), (3, 4), (2, 1), (3, 4)])
     c1, c2, c3 = structural_conditions(net)
     assert not c3
-    assert not is_balanced_foursplitter(network_matrix(net))
+    assert not is_balanced_foursplitter(net.matrix())
 
 
 def test_unbalanced_when_mode_occurs_three_times():
     net = BsNetwork.of(4, [(1, 2), (1, 3), (1, 4), (2, 3)])
     c1, _, _ = structural_conditions(net)
     assert not c1
-    assert not is_balanced_foursplitter(network_matrix(net))
+    assert not is_balanced_foursplitter(net.matrix())
 
 
 def test_first_two_splitters_must_cover_all_modes():
@@ -58,7 +57,7 @@ def test_first_two_splitters_must_cover_all_modes():
 @settings(max_examples=200, deadline=None)
 def test_balance_equals_conditions_on_samples(indices):
     net = sequence_from_indices(indices)
-    balanced = is_balanced_foursplitter(network_matrix(net))
+    balanced = is_balanced_foursplitter(net.matrix())
     assert balanced == all(structural_conditions(net))
 
 
@@ -87,13 +86,13 @@ class TestCanonicalForm:
         a = BsNetwork.of(4, [(1, 2), (3, 4), (1, 3), (2, 4)])
         b = BsNetwork.of(4, [(3, 4), (1, 2), (1, 3), (2, 4)])
         assert canonical_form(a) == canonical_form(b)
-        assert network_matrix(a) == network_matrix(b)
+        assert a.matrix() == b.matrix()
 
     def test_non_commuting_order_is_preserved(self):
         net = BsNetwork.of(4, [(1, 2), (2, 4), (1, 3), (3, 4)])
         if all(structural_conditions(net)):
             canon = canonical_form(net)
-            assert network_matrix(canon) == network_matrix(net)
+            assert canon.matrix() == net.matrix()
 
     def test_rejects_unbalanced_input(self):
         with pytest.raises(ValueError):
@@ -118,12 +117,12 @@ def test_census_representatives_are_balanced():
     assert len(rep.representatives) == 40
     for sequences in rep.representatives.values():
         for seq in sequences:
-            assert is_balanced_foursplitter(network_matrix(BsNetwork.of(4, seq)))
+            assert is_balanced_foursplitter(BsNetwork.of(4, seq).matrix())
 
 
 def test_reversed_network_matrix_is_transpose():
     net = BsNetwork.of(4, [(1, 2), (3, 4), (1, 3), (2, 4)])
-    assert network_matrix(net.reversed()) == network_matrix(net).transpose()
+    assert net.reversed().matrix() == net.matrix().transpose()
 
 
 def test_non_orthogonal_matrix_rejected():

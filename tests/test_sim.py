@@ -50,6 +50,10 @@ class TestGaussianState:
         with pytest.raises(ValueError, match="uncertainty"):
             GaussianState(1, np.zeros(2), 0.1 * np.eye(2))
 
+    def test_non_symplectic_op_on_vacuum_rejected(self):
+        with pytest.raises(ValueError, match="uncertainty"):
+            apply(SymplecticOp(0.5 * np.eye(2)), GaussianState.vacuum(1))
+
     def test_tolerance_scales_with_magnitude(self):
         # a strongly squeezed state carries covariance entries ~5e5 whose
         # eigenvalue noise would trip a fixed absolute threshold
@@ -271,6 +275,13 @@ class TestExtractedGate:
             gate = two_mode_gate(name, angles)
             mat = extracted_gate_matrix(name, angles)
             assert np.abs(mat - gate.op.matrix).max() < 1e-4
+
+    def test_conditioned_60db_state_is_not_a_spurious_violation(self):
+        # Conditioning shrinks the covariance from ~5e5 to ~1, but the
+        # rounding noise it carries stays at the scale it passed through.
+        angles = (1.4247577075230016, -0.3211984560994092, -0.3211984560994092, -2.184999323560268)
+        mat = extracted_gate_matrix("vcMSG", angles, 60.0)
+        assert np.abs(mat - two_mode_gate("vcMSG", angles).op.matrix).max() <= 1e-4
 
 
 CZ_ROW = (HALF_PI, HALF_PI + CHI, HALF_PI, HALF_PI - CHI)
