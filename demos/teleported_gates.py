@@ -84,7 +84,6 @@ print()
 native = (-CHI, 0.0, 0.0, CHI)
 gate = two_mode_gate("vcMSG", native)
 show("actual gate at (-chi, 0, 0, chi)", gate.op)
-f, fd = gates.fourier(), gates.fourier().inverse()
-dressed = fd.tensor(f) @ gates.cz(-1.0) @ f.tensor(f)
+dressed = gates.fourier_dressed_cz(-1.0)
 print(f"deviation from [Fdag x F] CZ(-1) [F x F]: "
       f"{gate.op.max_deviation(dressed):.2e}")

@@ -3,104 +3,12 @@
 Exact enumeration and classification of the beam-splitter networks whose
 four-mode mixing matrix has all entries of magnitude 1/2, the architecture
 registry built on them, the homodyne-angle gate dictionary, and a Gaussian
-simulator for the six-mode teleportation gadget.
+simulator for the six-mode teleportation gadget.  Import names from their
+modules, e.g. ``from foursplit.gates import two_mode_gate``.
 """
 
-from .exact import (
-    ExactMatrix,
-    ExactScalar,
-    beam_splitter_matrix,
-    negation_matrix,
-    permutation_matrix,
-    swap_matrix,
-)
-from .networks import (
-    BsNetwork,
-    canonical_form,
-    is_balanced_foursplitter,
-    physical_census,
-    structural_conditions,
-    verify_theorem2,
-)
-from .hadamard import (
-    enumerate_hadamard4,
-    generate_class,
-    realization_census,
-    seed_matrix,
-)
-from .zoo import (
-    Architecture,
-    architecture,
-    architecture_names,
-    bell_pair_insertion_identity,
-    classify_incompleteness,
-    no_virtual_completion_scan,
-    qrl_decomposition,
-    residual_analysis,
-    virtual_completion,
-)
-from .gates import (
-    CHI,
-    SymplecticOp,
-    TeleportedGate,
-    two_mode_gate,
-    v_gate,
-    verify_circuit_identities,
-    verify_dictionary,
-    verify_ldu,
-)
-from .sim import (
-    GadgetResult,
-    GaussianState,
-    homodyne,
-    noise_compare,
-    simulate_gadget,
-    squeezed_vacuum,
-    virtual_completion_experiment,
-)
+from . import exact, networks, hadamard, zoo, gates, sim
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ExactMatrix",
-    "ExactScalar",
-    "beam_splitter_matrix",
-    "negation_matrix",
-    "permutation_matrix",
-    "swap_matrix",
-    "BsNetwork",
-    "canonical_form",
-    "is_balanced_foursplitter",
-    "physical_census",
-    "structural_conditions",
-    "verify_theorem2",
-    "enumerate_hadamard4",
-    "generate_class",
-    "realization_census",
-    "seed_matrix",
-    "Architecture",
-    "architecture",
-    "architecture_names",
-    "bell_pair_insertion_identity",
-    "classify_incompleteness",
-    "no_virtual_completion_scan",
-    "qrl_decomposition",
-    "residual_analysis",
-    "virtual_completion",
-    "CHI",
-    "SymplecticOp",
-    "TeleportedGate",
-    "two_mode_gate",
-    "v_gate",
-    "verify_circuit_identities",
-    "verify_dictionary",
-    "verify_ldu",
-    "GadgetResult",
-    "GaussianState",
-    "homodyne",
-    "noise_compare",
-    "simulate_gadget",
-    "squeezed_vacuum",
-    "virtual_completion_experiment",
-    "__version__",
-]
+__all__ = ["exact", "networks", "hadamard", "zoo", "gates", "sim", "__version__"]

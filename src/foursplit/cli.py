@@ -40,7 +40,6 @@ _PI_TOKEN = re.compile(r"^([+-]?)(\d+(?:\.\d*)?)?pi(?:/(\d+(?:\.\d*)?))?$")
 def parse_angle(token: str) -> float:
     """Radians, `chi` (arctan 2), or pi fractions like `pi/2` and `-3pi/4`."""
     text = token.strip().lower()
-    sign = 1.0
     if text in ("chi", "+chi", "-chi"):
         return gates.CHI if not text.startswith("-") else -gates.CHI
     match = _PI_TOKEN.match(text)
@@ -48,11 +47,15 @@ def parse_angle(token: str) -> float:
         sign = -1.0 if match.group(1) == "-" else 1.0
         coef = float(match.group(2)) if match.group(2) else 1.0
         denom = float(match.group(3)) if match.group(3) else 1.0
-        return sign * coef * math.pi / denom
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse angle {token!r}") from None
+        value = sign * coef * math.pi / denom if denom else math.inf
+    else:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"cannot parse angle {token!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"angle {token!r} is not finite")
+    return value
 
 
 def _normalize_gate_name(name: str) -> str:
@@ -135,18 +138,8 @@ def _subject_equivalences(args: argparse.Namespace) -> tuple[bool, dict]:
         name: zoo.classify_incompleteness(zoo.architecture_matrix(name))
         for name in zoo.architecture_names()
     }
-    expected_kinds = {
-        "QRL": "complete",
-        "cBSL": "complete",
-        "cDBSL": "complete",
-        "cMSG": "complete",
-        "cMBSL": "complete",
-        "BSL": "a",
-        "DBSL": "a",
-        "MSG": "a",
-        "MBSL": "b",
-    }
-    passed = all(r["exact"] for r in rows) and same and kinds == expected_kinds
+    declared = {name: zoo.architecture(name).declared_kind for name in zoo.architecture_names()}
+    passed = all(r["exact"] for r in rows) and same and kinds == declared
     return passed, {"decompositions": rows, "cMSG_equals_cBSL": same, "kinds": kinds}
 
 
@@ -164,27 +157,10 @@ def _subject_identities(args: argparse.Namespace) -> tuple[bool, dict]:
 
 def _subject_euler(args: argparse.Namespace) -> tuple[bool, dict]:
     tol = args.tol if args.tol is not None else 1e-12
-    worst = 0.0
-    for t1 in np.linspace(-1.3, 2.9, 7):
-        for t2 in np.linspace(-1.3, 2.9, 7):
-            m = gates.rot_x(t2) @ gates.rot_z(t1)
-            alpha, beta, gamma = gates.euler_decompose(m)
-            rebuilt = gates.rot_z(gamma) @ gates.rot_y(beta) @ gates.rot_x(alpha)
-            worst = max(worst, float(np.abs(rebuilt - m).max()))
-    alpha, beta, gamma = gates.euler_decompose(
-        gates.rot_x(math.pi / 4) @ gates.rot_z(math.pi / 4)
-    )
-    outer = math.atan(1.0 / math.sqrt(2.0))
-    middle = math.atan(-math.sqrt(3.0) / 3.0)
-    example_dev = max(abs(alpha - outer), abs(beta - middle), abs(gamma - outer))
-    report = {
-        "reconstruction_worst": worst,
-        "balanced_pair_angles": [alpha, beta, gamma],
-        "balanced_pair_expected": [outer, middle, outer],
-        "balanced_pair_deviation": example_dev,
-        "tol": tol,
-    }
-    return worst <= tol and example_dev <= tol, report
+    grid = np.linspace(-1.3, 2.9, 7)
+    report = {**gates.euler_round_trip(grid, grid), "tol": tol}
+    passed = report["reconstruction_worst"] <= tol and report["balanced_pair_deviation"] <= tol
+    return passed, report
 
 
 def _subject_appendixD(args: argparse.Namespace) -> tuple[bool, dict]:
@@ -222,22 +198,20 @@ def _subject_noise(args: argparse.Namespace) -> tuple[bool, dict]:
     tol = args.tol if args.tol is not None else 1e-9
     rows = []
     worst = 0.0
-    for row in gates._qrl_rows():
-        for vc_name in gates.VC_ANGLE_MAPS:
-            if not gates.mapping_compatible(vc_name, row["angles"]):
-                continue
-            mapped = gates.map_reference_angles(vc_name, row["angles"])
-            dev = sim.noise_compare("QRL", row["angles"], vc_name, mapped, db)
-            worst = max(worst, dev)
-            rows.append(
-                {
-                    "gate": row["gate"],
-                    "pair": ["QRL", vc_name],
-                    "db": db,
-                    "deviation": dev,
-                    "pass": dev <= tol,
-                }
-            )
+    for row, arch, angles in gates.dictionary_rows():
+        if arch == "QRL":
+            continue
+        dev = sim.noise_compare("QRL", row["angles"], arch, angles, db)
+        worst = max(worst, dev)
+        rows.append(
+            {
+                "gate": row["gate"],
+                "pair": ["QRL", arch],
+                "db": db,
+                "deviation": dev,
+                "pass": dev <= tol,
+            }
+        )
     completions = []
     for incomplete, completed, angles in (
         ("BSL", "cBSL", (0.8, -0.4, 1.1, 0.8)),
@@ -284,16 +258,24 @@ SUBJECT_RUNNERS: dict[str, Callable[[argparse.Namespace], tuple[bool, dict]]] = 
 }
 
 
+def _precondition_error(exc: Exception) -> int:
+    print(json.dumps({"error": str(exc)}, ensure_ascii=False))
+    return PRECONDITION_ERROR
+
+
 def _run_verify(args: argparse.Namespace) -> int:
     start = time.perf_counter()
-    if args.subject == "all":
-        passed, report = True, {}
-        for name, runner in SUBJECT_RUNNERS.items():
-            sub_pass, sub_report = runner(args)
-            passed = passed and sub_pass
-            report[name] = {"passed": sub_pass, "report": sub_report}
-    else:
-        passed, report = SUBJECT_RUNNERS[args.subject](args)
+    try:
+        if args.subject == "all":
+            passed, report = True, {}
+            for name, runner in SUBJECT_RUNNERS.items():
+                sub_pass, sub_report = runner(args)
+                passed = passed and sub_pass
+                report[name] = {"passed": sub_pass, "report": sub_report}
+        else:
+            passed, report = SUBJECT_RUNNERS[args.subject](args)
+    except ValueError as exc:
+        return _precondition_error(exc)
     manifest = {
         "command": "verify",
         "subject": args.subject,
@@ -334,30 +316,12 @@ def _emit_csv(report: dict) -> None:
 # -- gate and simulate commands -----------------------------------------------
 
 
-def _dictionary_match(op: gates.SymplecticOp, tol: float = 1e-6) -> str | None:
-    """Nearest dictionary target within tol; loose enough for truncated angles."""
-    parity2 = gates.double_fourier().embed(2, (2,))
-    fd, f = gates.fourier().inverse(), gates.fourier()
-    candidates: list[tuple[str, gates.SymplecticOp]] = []
-    for row in gates._qrl_rows():
-        candidates.append((row["gate"], row["target"]))
-        candidates.append((row["gate"] + " (with output parity)", parity2 @ row["target"]))
-    for sign in (1.0, -1.0):
-        dressed = fd.tensor(f) @ gates.cz(sign) @ f.tensor(f)
-        candidates.append((f"fourier_dressed_CZ({sign:+.0f})", dressed))
-    for name, target in candidates:
-        if op.max_deviation(target) <= tol:
-            return name
-    return None
-
-
 def _run_gate(args: argparse.Namespace) -> int:
     name = _normalize_gate_name(args.architecture)
     try:
         gate = gates.two_mode_gate(name, args.angles)
     except (ValueError, KeyError) as exc:
-        print(json.dumps({"error": str(exc)}, ensure_ascii=False))
-        return PRECONDITION_ERROR
+        return _precondition_error(exc)
     outcome_map = np.column_stack(
         [gate.displacement([1.0 if i == j else 0.0 for i in range(4)]) for j in range(4)]
     )
@@ -370,7 +334,7 @@ def _run_gate(args: argparse.Namespace) -> int:
         "symplectic": np.round(gate.op.matrix, 12).tolist(),
         "displacement_map": np.round(outcome_map, 12).tolist(),
         "parity_on_output": arch.parity_on_output,
-        "dictionary_match": _dictionary_match(gate.op),
+        "dictionary_match": gates.dictionary_match(gate.op),
     }
     print(json.dumps(manifest, ensure_ascii=False, indent=2))
     return 0
@@ -393,8 +357,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
             orientation=args.orientation,
         )
     except (ValueError, KeyError) as exc:
-        print(json.dumps({"error": str(exc)}, ensure_ascii=False))
-        return PRECONDITION_ERROR
+        return _precondition_error(exc)
     manifest = {
         "command": "simulate",
         "version": __version__,
@@ -405,8 +368,25 @@ def _run_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",")]
+def _four_floats(text: str) -> list[float]:
+    values = [float(tok) for tok in text.split(",")]
+    if len(values) != 4 or not all(math.isfinite(v) for v in values):
+        raise argparse.ArgumentTypeError(f"need exactly four finite numbers, got {text!r}")
+    return values
+
+
+def _nonnegative_float(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"need a finite number >= 0, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need an integer >= 1, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -419,9 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run a verification subject")
     verify.add_argument("subject", choices=VERIFY_SUBJECTS)
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--db", type=float, default=None, help="ancilla squeezing in dB")
-    verify.add_argument("--grid", type=int, default=None, help="grid points per angle")
-    verify.add_argument("--tol", type=float, default=None)
+    verify.add_argument("--db", type=_nonnegative_float, default=None, help="ancilla squeezing in dB")
+    verify.add_argument("--grid", type=_positive_int, default=None, help="grid points per angle")
+    verify.add_argument("--tol", type=_nonnegative_float, default=None)
     verify.add_argument("--csv", action="store_true", help="flat CSV rows instead of JSON")
     verify.set_defaults(func=_run_verify)
 
@@ -433,11 +413,11 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="run the six-mode gadget")
     simulate.add_argument("architecture")
     simulate.add_argument("angles", nargs=4, type=parse_angle, metavar="THETA")
-    simulate.add_argument("--db", type=float, default=None)
+    simulate.add_argument("--db", type=_nonnegative_float, default=None)
     simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument("--outcomes", type=_float_list, default=None,
+    simulate.add_argument("--outcomes", type=_four_floats, default=None,
                           help="fix the four homodyne outcomes, comma separated")
-    simulate.add_argument("--mean", type=_float_list, default=None,
+    simulate.add_argument("--mean", type=_four_floats, default=None,
                           help="input mean (q1,q2,p1,p2), comma separated")
     simulate.add_argument("--orientation", choices=sorted(sim.ORIENTATIONS),
                           default=sim.DEFAULT_ORIENTATION)

@@ -329,6 +329,8 @@ def two_mode_gate(name: str, angles: Sequence[float]) -> TeleportedGate:
     """
     if len(angles) != 4:
         raise ValueError("need exactly four measurement angles")
+    if not all(math.isfinite(a) for a in angles):
+        raise ValueError(f"measurement angles must be finite, got {list(angles)}")
     arch, rule = resolve_gate_architecture(name)
     if rule is not None:
         rule.check_angles(angles)
@@ -416,12 +418,18 @@ def _qrl_rows() -> list[dict]:
     ]
 
 
+def _inverse_gate_slots(arch: zoo.Architecture) -> tuple[int, ...]:
+    """Inverse of ``gate_slots``: entry k is the slot that reads angle k."""
+    angle_of_slot = [idx for idx, _ in arch.gate_slots]
+    return tuple(angle_of_slot.index(k) + 1 for k in range(1, len(angle_of_slot) + 1))
+
+
 #: How each virtually completed architecture reorders reference angles:
 #: entry k is the reference slot whose angle feeds gadget angle k.
-VC_ANGLE_MAPS: dict[str, tuple[int, int, int, int]] = {
-    "vcBSL": (1, 2, 4, 3),
-    "vcDBSL": (1, 4, 2, 3),
-    "vcMSG": (1, 2, 4, 3),
+VC_ANGLE_MAPS: dict[str, tuple[int, ...]] = {
+    "vc" + arch.name: _inverse_gate_slots(zoo.architecture(arch.completed_by))
+    for arch in zoo.ARCHITECTURES.values()
+    if arch.virtual_pair is not None
 }
 
 
@@ -436,6 +444,48 @@ def mapping_compatible(vc_name: str, qrl_angles: Sequence[float], tol: float = 1
     rule = zoo.virtual_completion(vc_name[2:])
     j, k = rule.pair
     return abs(mapped[j - 1] - mapped[k - 1]) <= tol
+
+
+def dictionary_rows() -> list[tuple[dict, str, tuple[float, ...]]]:
+    """Every (reference row, layout, angles) the dictionary covers.
+
+    Each reference row on QRL comes first, followed by its
+    restriction-compatible mappings onto the virtually completed layouts.
+    """
+    rows = []
+    for row in _qrl_rows():
+        rows.append((row, "QRL", row["angles"]))
+        for vc_name in VC_ANGLE_MAPS:
+            if mapping_compatible(vc_name, row["angles"]):
+                rows.append((row, vc_name, map_reference_angles(vc_name, row["angles"])))
+    return rows
+
+
+def fourier_dressed_cz(sign: float) -> SymplecticOp:
+    """[F^dag x F] CZ(sign) [F x F]."""
+    f = fourier()
+    return f.inverse().tensor(f) @ cz(sign) @ f.tensor(f)
+
+
+def dictionary_targets() -> list[tuple[str, SymplecticOp]]:
+    """Named dictionary gates in match order: each reference target without
+    and with the output parity, then the Fourier-dressed CZ(+1) and CZ(-1)."""
+    parity2 = double_fourier().embed(2, (2,))
+    targets = []
+    for row in _qrl_rows():
+        targets.append((row["gate"], row["target"]))
+        targets.append((row["gate"] + " (with output parity)", parity2 @ row["target"]))
+    for sign in (1.0, -1.0):
+        targets.append((f"fourier_dressed_CZ({sign:+.0f})", fourier_dressed_cz(sign)))
+    return targets
+
+
+def dictionary_match(op: SymplecticOp, tol: float = 1e-6) -> str | None:
+    """First dictionary target within tol; loose enough for truncated angles."""
+    for name, target in dictionary_targets():
+        if op.max_deviation(target) <= tol:
+            return name
+    return None
 
 
 @dataclass
@@ -486,34 +536,22 @@ def verify_dictionary(tol: float = 1e-10) -> DictionaryReport:
             }
         )
 
-    parity2 = double_fourier().embed(2, (2,))
-    for row in _qrl_rows():
-        gate = two_mode_gate("QRL", row["angles"])
-        record(row["gate"], "QRL", row["angles"], gate.op.max_deviation(row["target"]))
-        for vc_name in VC_ANGLE_MAPS:
-            if not mapping_compatible(vc_name, row["angles"]):
-                continue
-            mapped = map_reference_angles(vc_name, row["angles"])
-            vc_gate = two_mode_gate(vc_name, mapped)
-            target = parity2 @ row["target"]
-            record(
-                row["gate"],
-                vc_name,
-                mapped,
-                vc_gate.op.max_deviation(target),
-                note="with output parity",
-            )
+    targets = dict(dictionary_targets())
+    rows = dictionary_rows()
+    for row, arch, angles in rows:
+        note = "" if arch == "QRL" else "with output parity"
+        target = targets[row["gate"] + (f" ({note})" if note else "")]
+        dev = two_mode_gate(arch, angles).op.max_deviation(target)
+        record(row["gate"], arch, angles, dev, note=note)
 
-    # SWAP admits no restriction-compatible mapping: exhaustive over the rows
-    swap_row = next(r for r in _qrl_rows() if r["gate"] == "SWAP")
-    incompatible = all(
-        not mapping_compatible(vc, swap_row["angles"]) for vc in VC_ANGLE_MAPS
-    )
+    # SWAP admits no restriction-compatible mapping: no mapped row carries it
+    swap_angles = next(row["angles"] for row, _, _ in rows if row["gate"] == "SWAP")
+    incompatible = all(arch == "QRL" for row, arch, _ in rows if row["gate"] == "SWAP")
     entries.append(
         {
             "gate": "SWAP",
             "architecture": "vc*",
-            "angles": list(swap_row["angles"]),
+            "angles": list(swap_angles),
             "deviation": 0.0 if incompatible else math.inf,
             "pass": incompatible,
             "note": "no angle-compatible mapping exists",
@@ -531,6 +569,7 @@ def verify_dictionary(tol: float = 1e-10) -> DictionaryReport:
     native = (-CHI, 0.0, 0.0, CHI)
     gate = two_mode_gate("vcMSG", native)
     claimed = fourier().inverse().tensor(fourier()) @ cz(1.0)
+    parity2 = double_fourier().embed(2, (2,))
     dev_claimed = min(
         gate.op.max_deviation(claimed), gate.op.max_deviation(parity2 @ claimed)
     )
@@ -541,16 +580,11 @@ def verify_dictionary(tol: float = 1e-10) -> DictionaryReport:
         dev_claimed,
         note="stated native-row target; not producible at any angles",
     )
-    dressed = (
-        fourier().inverse().tensor(fourier())
-        @ cz(-1.0)
-        @ fourier().tensor(fourier())
-    )
     record(
         "fourier_dressed_CZ(-1)",
         "vcMSG",
         native,
-        gate.op.max_deviation(dressed),
+        gate.op.max_deviation(targets["fourier_dressed_CZ(-1)"]),
         note="exact gate at the native angles",
     )
 
@@ -611,6 +645,34 @@ def euler_decompose(mat: np.ndarray) -> tuple[float, float, float]:
     alpha = math.atan2(mat[2, 1], mat[2, 2])
     gamma = math.atan2(mat[1, 0], mat[0, 0])
     return alpha, beta, gamma
+
+
+def euler_round_trip(t1_grid: Sequence[float], t2_grid: Sequence[float]) -> dict:
+    """The three-splitter angle decomposition, checked by re-multiplication.
+
+    ``reconstruction_worst`` is the largest entry error of the rebuilt
+    Rz(gamma) Ry(beta) Rx(alpha) over m = Rx(t2) Rz(t1) on the grid.  Two
+    balanced splitters sharing a mode decompose into fixed-axis rotations by
+    arctan(1/sqrt2), arctan(-sqrt3/3), arctan(1/sqrt2);
+    ``balanced_pair_deviation`` is the largest angle error against them.
+    """
+    worst = 0.0
+    for t1 in t1_grid:
+        for t2 in t2_grid:
+            m = rot_x(t2) @ rot_z(t1)
+            alpha, beta, gamma = euler_decompose(m)
+            rebuilt = rot_z(gamma) @ rot_y(beta) @ rot_x(alpha)
+            worst = max(worst, float(np.abs(rebuilt - m).max()))
+    alpha, beta, gamma = euler_decompose(rot_x(math.pi / 4) @ rot_z(math.pi / 4))
+    outer, middle = math.atan(1.0 / math.sqrt(2.0)), math.atan(-math.sqrt(3.0) / 3.0)
+    return {
+        "reconstruction_worst": worst,
+        "balanced_pair_angles": [alpha, beta, gamma],
+        "balanced_pair_expected": [outer, middle, outer],
+        "balanced_pair_deviation": max(
+            abs(alpha - outer), abs(beta - middle), abs(gamma - outer)
+        ),
+    }
 
 
 # -- measurement covectors ----------------------------------------------------
@@ -746,22 +808,9 @@ def verify_circuit_identities(tol: float = 1e-12) -> IdentitiesReport:
             dev = max(dev, lhs.max_deviation(rhs))
     devs["cx_reordering"] = dev
 
-    dev = 0.0
-    for t1 in (-1.1, 0.4, 2.2):
-        for t2 in (-0.6, 0.9, 2.8):
-            m = rot_x(t2) @ rot_z(t1)
-            alpha, beta, gamma = euler_decompose(m)
-            rebuilt = rot_z(gamma) @ rot_y(beta) @ rot_x(alpha)
-            dev = max(dev, float(np.abs(rebuilt - m).max()))
-    devs["three_mode_angle_decomposition"] = dev
-
-    # Two balanced splitters sharing a mode decompose into fixed-axis
-    # rotations by arctan(1/sqrt2), arctan(-sqrt3/3), arctan(1/sqrt2).
-    alpha, beta, gamma = euler_decompose(rot_x(math.pi / 4) @ rot_z(math.pi / 4))
-    outer, middle = math.atan(1.0 / math.sqrt(2.0)), math.atan(-math.sqrt(3.0) / 3.0)
-    devs["balanced_pair_euler_angles"] = max(
-        abs(alpha - outer), abs(beta - middle), abs(gamma - outer)
-    )
+    euler = euler_round_trip((-1.1, 0.4, 2.2), (-0.6, 0.9, 2.8))
+    devs["three_mode_angle_decomposition"] = euler["reconstruction_worst"]
+    devs["balanced_pair_euler_angles"] = euler["balanced_pair_deviation"]
 
     dev = 0.0
     for th in (-1.2, -0.4, 0.0, 0.7, 1.4):

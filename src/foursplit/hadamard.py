@@ -61,10 +61,10 @@ def enumerate_sign_orthogonal(n: int) -> frozenset[SignMatrix]:
     """All n x n sign matrices with pairwise orthogonal rows, by brute force.
 
     Sweeps all 2**(n*n) sign patterns; sizes are 2, 8, 768 for n = 1, 2, 4.
-    Intended for n <= 4 (65,536 candidates).
+    Limited to 1 <= n <= 4 (at most 65,536 candidates).
     """
-    if n > 5:
-        raise ValueError("brute force enumeration limited to n <= 5")
+    if not 1 <= n <= 4:
+        raise ValueError(f"brute force enumeration limited to 1 <= n <= 4, got {n}")
     count = 1 << (n * n)
     bits = (np.arange(count, dtype=np.uint32)[:, None] >> np.arange(n * n)) & 1
     signs = (1 - 2 * bits).astype(np.int16).reshape(count, n, n)

@@ -9,44 +9,36 @@ teleported two-mode output on the ancilla partner modes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import gates, zoo
-from .gates import SymplecticOp, TeleportedGate, omega
+from .gates import SymplecticOp, TeleportedGate
 
 SYMMETRY_TOL = 1e-10
-UNCERTAINTY_TOL = 1e-10
+#: Relative shortfall below 1/2 allowed in the least symplectic eigenvalue.
+UNCERTAINTY_TOL = 1e-3
 CONDITION_FLOOR = 1e-14
 
 
 class GaussianState:
     """Zero-indexed internals, one-indexed mode arguments throughout."""
 
-    __slots__ = ("n_modes", "mean", "cov", "_scale")
+    __slots__ = ("n_modes", "mean", "cov")
 
-    def __init__(self, n_modes: int, mean: np.ndarray, cov: np.ndarray, *, _scale: float = 1.0):
-        # internal _scale: the largest magnitude a derived state passed through
+    def __init__(self, n_modes: int, mean: np.ndarray, cov: np.ndarray):
         mean = np.asarray(mean, dtype=float).reshape(2 * n_modes)
         cov = np.asarray(cov, dtype=float).reshape(2 * n_modes, 2 * n_modes)
-        scale = max(_scale, float(np.abs(cov).max(initial=1.0)))
         if n_modes:  # measuring out the last mode leaves a legitimate empty state
-            if np.abs(cov - cov.T).max() > SYMMETRY_TOL * scale:
+            if np.abs(cov - cov.T).max() > SYMMETRY_TOL * np.abs(cov).max(initial=1.0):
                 raise ValueError("covariance matrix is not symmetric")
-            herm = cov + 0.5j * omega(n_modes)
-            least = np.linalg.eigvalsh(herm).min()
-            # Tolerance scales with the magnitudes passed through: entries of order
-            # 1e6 leave eigenvalue noise that conditioning to small entries keeps.
-            if least < -UNCERTAINTY_TOL * scale:
-                raise ValueError(
-                    f"covariance violates the uncertainty relation (eig {least:.3e})"
-                )
+            _check_uncertainty(cov)
         object.__setattr__(self, "n_modes", n_modes)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", 0.5 * (cov + cov.T))
-        object.__setattr__(self, "_scale", scale)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("GaussianState is immutable")
@@ -65,14 +57,40 @@ class GaussianState:
         return mode - 1, self.n_modes + mode - 1
 
 
+def _check_uncertainty(cov: np.ndarray) -> None:
+    """Raise unless every symplectic eigenvalue of cov is at least 1/2.
+
+    With cov = L L^T, the symplectic eigenvalues are the moduli of the
+    eigenvalues of i L^T Omega L.  The test is relative to 1/2 whatever the
+    size of the entries, so strong squeezing neither loosens nor trips it.
+    """
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise ValueError(
+            "covariance violates the uncertainty relation (not positive definite)"
+        ) from None
+    n = cov.shape[0] // 2
+    cross = chol[:n].T @ chol[n:]  # L^T Omega L = cross - cross^T
+    least = np.abs(np.linalg.eigvalsh(1j * (cross - cross.T))).min()
+    if not least >= 0.5 * (1.0 - UNCERTAINTY_TOL):
+        raise ValueError(
+            "covariance violates the uncertainty relation "
+            f"(least symplectic eigenvalue {least:.6g} < 1/2)"
+        )
+
+
 def squeezed_vacuum(db: float, axis: str) -> GaussianState:
     """Single-mode squeezed vacuum with the squeezed-axis variance (1/2)*10^(-db/10)."""
-    if db < 0:
-        raise ValueError("squeezing must be given as a nonnegative dB value")
+    if not 0 <= db < math.inf:
+        raise ValueError(f"squeezing must be a finite, nonnegative dB value, got {db}")
     if axis not in ("q", "p"):
         raise ValueError("axis must be 'q' or 'p'")
+    try:
+        loose = 0.5 * 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ValueError(f"squeezing of {db} dB is beyond float range") from None
     tight = 0.5 * 10.0 ** (-db / 10.0)
-    loose = 0.5 * 10.0 ** (db / 10.0)
     cov = np.diag([tight, loose] if axis == "q" else [loose, tight])
     return GaussianState(1, np.zeros(2), cov)
 
@@ -81,10 +99,8 @@ def apply(op: SymplecticOp, state: GaussianState) -> GaussianState:
     if op.n_modes != state.n_modes:
         raise ValueError(f"operator acts on {op.n_modes} modes, state has {state.n_modes}")
     s = op.matrix
-    # rounding in S C S^T grows with |S|_2^2 = max eig(S^T S) (Higham, Accuracy and Stability)
-    scale = state._scale * np.linalg.eigvalsh(s.T @ s)[-1]
-    mean, cov = s @ state.mean + op.shift, s @ state.cov @ s.T
-    return GaussianState(state.n_modes, mean, cov, _scale=scale)
+    cov = s @ state.cov @ s.T
+    return GaussianState(state.n_modes, s @ state.mean + op.shift, 0.5 * (cov + cov.T))
 
 
 def homodyne(
@@ -113,7 +129,7 @@ def homodyne(
     cross = rotated.cov[keep, pi]
     mean = rotated.mean[keep] + cross * (outcome - rotated.mean[pi]) / var
     cov = rotated.cov[np.ix_(keep, keep)] - np.outer(cross, cross) / var
-    return outcome, GaussianState(state.n_modes - 1, mean, cov, _scale=rotated._scale)
+    return outcome, GaussianState(state.n_modes - 1, mean, cov)
 
 
 def _place(
@@ -190,6 +206,8 @@ def simulate_gadget(
     on the input regardless of the outcomes.
     """
     gate = gates.two_mode_gate(architecture, angles)
+    if outcomes is not None and len(outcomes) != 4:
+        raise ValueError(f"need exactly four outcomes, got {len(outcomes)}")
     _, rule = gates.resolve_gate_architecture(architecture)
     physical = _physical_network(architecture)
     if input_state is None:

@@ -65,6 +65,14 @@ class Architecture:
     gate_slots: tuple[tuple[int, int], ...] | None = None
     parity_on_output: bool = False
 
+    @property
+    def declared_kind(self) -> str:
+        """The kind the registry fields encode: 'complete' with gate slots,
+        'a' with a virtual pair, otherwise 'b'."""
+        if self.gate_slots is not None:
+            return "complete"
+        return "a" if self.virtual_pair is not None else "b"
+
     def network(self) -> BsNetwork:
         return BsNetwork(4, self.sequence)
 

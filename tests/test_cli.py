@@ -36,6 +36,13 @@ class TestParseAngle:
     def test_chi_is_arctangent_of_two(self):
         assert parse_angle("chi") == pytest.approx(math.atan(2.0))
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "pi/0"])
+    def test_non_finite_angles_rejected(self, token):
+        import argparse
+
+        with pytest.raises(argparse.ArgumentTypeError, match="finite"):
+            parse_angle(token)
+
     @pytest.mark.parametrize("token", ["pie", "pi/", "two", "", "pi/pi"])
     def test_rejected_forms(self, token):
         import argparse
@@ -113,6 +120,27 @@ class TestVerifyCommand:
         census = report["census"]["report"]
         assert (census["physical_classes"], census["distinct_matrices"]) == (96, 40)
         assert census["multiplicity_histogram"] == {"2": 24, "3": 16}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("noise", "--db", "nan"),
+            ("noise", "--db", "-1"),
+            ("noise", "--db", "inf"),
+            ("appendixD", "--grid", "0"),
+            ("euler", "--tol", "-1e-3"),
+            ("euler", "--tol", "nan"),
+        ],
+    )
+    def test_out_of_range_parameters_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", *argv])
+        assert err.value.code == USAGE_ERROR
+
+    def test_library_value_error_is_precondition_error(self, capsys):
+        code, out = run_cli(capsys, "verify", "noise", "--db", "4000")
+        assert code == PRECONDITION_ERROR
+        assert "float range" in json.loads(out)["error"]
 
     def test_seed_recorded_in_parameters(self, capsys):
         code, out = run_cli(capsys, "verify", "insertion", "--seed", "42")
@@ -194,6 +222,33 @@ class TestSimulateCommand:
     def test_mbsl_refused(self, capsys):
         code, out = run_cli(capsys, "simulate", "MBSL", "0.5", "0.5", "0.5", "0.5")
         assert code == PRECONDITION_ERROR
+
+    def test_unrepresentable_squeezing_prints_no_state(self, capsys):
+        code, out = run_cli(capsys, "simulate", "QRL", "pi/2", "0", "pi/2", "0", "--db", "400")
+        assert code == PRECONDITION_ERROR
+        assert set(json.loads(out)) == {"error"}
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--outcomes", "0,0,0"),
+            ("--outcomes", "0,0,0,0,0"),
+            ("--outcomes", "0,nan,0,0"),
+            ("--mean", "1,2"),
+            ("--mean", "1,2,inf,4"),
+            ("--mean", "1,2,x,4"),
+            ("--db", "nan"),
+        ],
+    )
+    def test_bad_vectors_and_levels_are_usage_errors(self, flag, value):
+        with pytest.raises(SystemExit) as err:
+            main(["simulate", "QRL", "pi/2", "0", "pi/2", "0", flag, value])
+        assert err.value.code == USAGE_ERROR
+
+    def test_nan_gate_angle_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["gate", "QRL", "nan", "0", "pi/2", "0"])
+        assert err.value.code == USAGE_ERROR
 
     def test_bad_angle_token_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from foursplit import gates
+from foursplit import gates, zoo
 from foursplit.exact import beam_splitter_matrix
 from foursplit.gates import (
     CHI,
@@ -324,11 +325,43 @@ class TestTeleportedGates:
         with pytest.raises(ValueError, match="equal mod pi"):
             two_mode_gate("QRL", (0.3, 0.3, 1.0, 0.2))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angles_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            two_mode_gate("QRL", (HALF_PI, bad, HALF_PI, 0.0))
+
+    @given(
+        st.sampled_from(GATE_NAMES),
+        st.lists(st.floats(-math.pi, math.pi), min_size=4, max_size=4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_gates_are_symplectic_property(self, name, angles):
+        arch, rule = resolve_gate_architecture(name)
+        if rule is not None:
+            j, k = rule.pair
+            angles[k - 1] = angles[j - 1]
+        eff = [angles[idx - 1] for idx, _ in arch.gate_slots]
+        # each V pair stays clear of equal angles mod pi, where V is undefined
+        assume(abs(math.sin(eff[0] - eff[1])) >= 0.1)
+        assume(abs(math.sin(eff[2] - eff[3])) >= 0.1)
+        assert two_mode_gate(name, angles).op.is_symplectic(tol=1e-9)
+
 
 class TestAngleMapping:
     def test_maps_are_permutations(self):
         for name, perm in gates.VC_ANGLE_MAPS.items():
             assert sorted(perm) == [1, 2, 3, 4], name
+
+    def test_maps_pinned_and_inverse_to_gate_slots(self):
+        assert gates.VC_ANGLE_MAPS == {
+            "vcBSL": (1, 2, 4, 3),
+            "vcDBSL": (1, 4, 2, 3),
+            "vcMSG": (1, 2, 4, 3),
+        }
+        for vc_name, perm in gates.VC_ANGLE_MAPS.items():
+            completed = zoo.architecture(zoo.virtual_completion(vc_name[2:]).completed)
+            for slot, (angle_index, _) in enumerate(completed.gate_slots, start=1):
+                assert perm[angle_index - 1] == slot
 
     def test_mapped_angles(self):
         assert map_reference_angles("vcBSL", (1.0, 2.0, 3.0, 4.0)) == (1.0, 2.0, 4.0, 3.0)
@@ -406,6 +439,20 @@ class TestDictionary:
         )
         assert entry["pass"]
         assert entry["deviation"] < 1e-12
+
+    def test_rows_follow_each_reference_row_with_its_mappings(self, report):
+        rows = gates.dictionary_rows()
+        assert [(row["gate"], arch) for row, arch, _ in rows] == [
+            (e["gate"], e["architecture"]) for e in report.entries[: len(rows)]
+        ]
+        for row, arch, angles in rows:
+            if arch != "QRL":
+                assert angles == map_reference_angles(arch, row["angles"])
+
+    def test_every_target_matches_itself_first(self):
+        for name, target in gates.dictionary_targets():
+            assert gates.dictionary_match(target) == name
+        assert gates.dictionary_match(rotation(0.3).tensor(identity())) is None
 
     def test_momentum_shear_argument_documented(self, report):
         assert report.momentum_shear_argument == "2*cot(theta2-theta1)"

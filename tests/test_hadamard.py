@@ -25,6 +25,13 @@ def test_order_two_count():
     assert len(enumerate_sign_orthogonal(2)) == 8
 
 
+@pytest.mark.parametrize("n", [0, 5])
+def test_brute_force_order_outside_one_to_four_rejected(n):
+    # n = 5 would sweep 2**25 patterns (~3.4 GB); the guard must stop it first
+    with pytest.raises(ValueError, match="limited"):
+        enumerate_sign_orthogonal(n)
+
+
 def test_order_four_count():
     assert len(enumerate_hadamard4()) == 768
 

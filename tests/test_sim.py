@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from foursplit import gates, sim
 from foursplit.gates import CHI, SymplecticOp, cz, two_mode_gate
@@ -54,6 +55,54 @@ class TestGaussianState:
         with pytest.raises(ValueError, match="uncertainty"):
             apply(SymplecticOp(0.5 * np.eye(2)), GaussianState.vacuum(1))
 
+    def test_rejects_entry_scaled_violation(self):
+        # det = 0.0156 against 0.25 for a pure state; large entries must not
+        # loosen the test
+        with pytest.raises(ValueError, match="uncertainty"):
+            GaussianState(1, np.zeros(2), np.diag([1.25e-7, 1.25e5]))
+
+    def test_rejects_non_symplectic_op_on_squeezed_state(self):
+        with pytest.raises(ValueError, match="uncertainty"):
+            apply(SymplecticOp(0.5 * np.eye(2)), squeezed_vacuum(60.0, "q"))
+
+    def test_rejects_indefinite_covariance(self):
+        with pytest.raises(ValueError, match="uncertainty"):
+            GaussianState(1, np.zeros(2), np.diag([1.0, -1.0]))
+
+    def test_accepts_160_db_squeezed_vacuum(self):
+        state = squeezed_vacuum(160.0, "q")
+        assert state.cov[0, 0] == pytest.approx(0.5e-16)
+
+    @given(
+        st.floats(0.0, 60.0),
+        st.sampled_from("qp"),
+        st.lists(
+            st.tuples(st.sampled_from(["rotation", "shear", "squeeze"]), st.floats(-1.0, 1.0)),
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_symplectic_images_accepted_and_scaled_ones_rejected(self, db, axis, steps):
+        ops = []
+        for kind, x in steps:
+            if kind == "rotation":
+                ops.append(gates.rotation(math.pi * x))
+            elif kind == "shear":
+                ops.append(gates.shear_q(3.0 * x))
+            else:  # up to 20 dB either way
+                ops.append(gates.squeeze(10.0 ** x))
+        cov = squeezed_vacuum(db, axis).cov
+        for op in ops:
+            cov = op.matrix @ cov @ op.matrix.T
+            # past ~60 dB in a rotated frame, float64 entries no longer carry
+            # the squeezed quadrature: its variance is below their rounding
+            assume(np.linalg.eigvalsh(cov)[-1] <= 0.5e6)
+        state = squeezed_vacuum(db, axis)
+        for op in ops:
+            state = apply(op, state)
+        with pytest.raises(ValueError, match="uncertainty"):
+            GaussianState(1, state.mean, 0.99 * state.cov)
+
     def test_tolerance_scales_with_magnitude(self):
         # a strongly squeezed state carries covariance entries ~5e5 whose
         # eigenvalue noise would trip a fixed absolute threshold
@@ -82,6 +131,15 @@ class TestSqueezedVacuum:
     def test_negative_db_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             squeezed_vacuum(-3.0, "q")
+
+    @pytest.mark.parametrize("db", [math.nan, math.inf])
+    def test_non_finite_db_rejected(self, db):
+        with pytest.raises(ValueError, match="finite"):
+            squeezed_vacuum(db, "q")
+
+    def test_db_beyond_float_range_rejected(self):
+        with pytest.raises(ValueError, match="float range"):
+            squeezed_vacuum(4000.0, "q")
 
     def test_bad_axis_rejected(self):
         with pytest.raises(ValueError, match="axis"):
@@ -247,6 +305,16 @@ class TestGadget:
     def test_unknown_orientation_rejected(self):
         with pytest.raises(ValueError, match="orientation"):
             simulate_gadget("QRL", IDENTITY_ANGLES, 10.0, orientation="xy")
+
+    @pytest.mark.parametrize("outcomes", [(0.0, 0.0, 0.0), (0.0,) * 5])
+    def test_outcome_count_checked(self, outcomes):
+        with pytest.raises(ValueError, match="four outcomes"):
+            simulate_gadget("QRL", IDENTITY_ANGLES, 10.0, outcomes=outcomes)
+
+    def test_unrepresentable_squeezing_refused(self):
+        # at 400 dB the squeezed quadrature is lost to rounding in the first splitter
+        with pytest.raises(ValueError, match="uncertainty"):
+            simulate_gadget("QRL", IDENTITY_ANGLES, 400.0, outcomes=(0.0,) * 4)
 
     def test_input_must_be_two_modes(self):
         with pytest.raises(ValueError, match="two-mode"):

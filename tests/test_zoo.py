@@ -122,6 +122,11 @@ class TestIncompleteness:
         for name, kind in expected.items():
             assert classify_incompleteness(architecture_matrix(name)) == kind
 
+    def test_declared_kinds_match_matrices(self):
+        for name in architecture_names():
+            declared = architecture(name).declared_kind
+            assert classify_incompleteness(architecture_matrix(name)) == declared, name
+
     def test_complete_matrices_classified_complete(self):
         for name in ("QRL", "cBSL", "cDBSL", "cMSG", "cMBSL"):
             assert classify_incompleteness(architecture_matrix(name)) == "complete"
