@@ -213,11 +213,7 @@ def _subject_noise(args: argparse.Namespace) -> tuple[bool, dict]:
             }
         )
     completions = []
-    for incomplete, completed, angles in (
-        ("BSL", "cBSL", (0.8, -0.4, 1.1, 0.8)),
-        ("DBSL", "cDBSL", (0.5, 1.2, -0.9, 0.5)),
-        ("MSG", "cMSG", (1.0, 0.3, 0.3, -0.7)),
-    ):
+    for incomplete, completed, angles in sim.COMPLETION_CASES:
         rep = sim.virtual_completion_experiment(incomplete, completed, angles, db, seed=args.seed)
         completions.append(
             {
@@ -226,7 +222,7 @@ def _subject_noise(args: argparse.Namespace) -> tuple[bool, dict]:
             }
         )
     try:
-        sim.virtual_completion_experiment("MBSL", "cMBSL", (0.1, 0.2, 0.3, 0.4), db)
+        sim.virtual_completion_experiment(*sim.REFUSED_COMPLETION, db)
         mbsl_refused = False
     except ValueError:
         mbsl_refused = True
@@ -382,10 +378,12 @@ def _nonnegative_float(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
+def _grid_points(text: str) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"need an integer >= 1, got {text!r}")
+    if not 1 <= value <= zoo.MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"need an integer in 1..{zoo.MAX_GRID_POINTS}, got {text!r}"
+        )
     return value
 
 
@@ -400,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("subject", choices=VERIFY_SUBJECTS)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--db", type=_nonnegative_float, default=None, help="ancilla squeezing in dB")
-    verify.add_argument("--grid", type=_positive_int, default=None, help="grid points per angle")
+    verify.add_argument("--grid", type=_grid_points, default=None,
+                        help=f"grid points per angle, at most {zoo.MAX_GRID_POINTS}")
     verify.add_argument("--tol", type=_nonnegative_float, default=None)
     verify.add_argument("--csv", action="store_true", help="flat CSV rows instead of JSON")
     verify.set_defaults(func=_run_verify)

@@ -18,6 +18,7 @@ displacement match what the measurement gadget actually produces.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -206,6 +207,19 @@ def network_op(net: BsNetwork) -> SymplecticOp:
     return SymplecticOp(mat)
 
 
+def architecture_op(name: str) -> SymplecticOp:
+    """:func:`network_op` of a registry architecture.  Its matrix is computed
+    once per name and shared read-only; the returned op is new on each call."""
+    return SymplecticOp(_architecture_block(zoo.architecture(name).name))
+
+
+@functools.cache
+def _architecture_block(name: str) -> np.ndarray:
+    mat = network_op(zoo.ARCHITECTURES[name].network()).matrix
+    mat.setflags(write=False)
+    return mat
+
+
 # -- convention checks --------------------------------------------------------
 
 
@@ -254,14 +268,15 @@ def v_gate_forms(theta1: float, theta2: float) -> tuple[np.ndarray, np.ndarray, 
 def v_gate(theta1: float, theta2: float, tol: float = 1e-10) -> SymplecticOp:
     """The single-mode gate measured out by homodyne angles (theta1, theta2).
 
-    Computes all three factorizations, asserts mutual agreement to ``tol``,
+    Computes all three factorizations, requires mutual agreement to ``tol``,
     and returns their common symplectic matrix.  Undefined when the angles
-    coincide mod pi.
+    coincide mod pi; near that, where the forms drift apart by more than
+    ``tol``, it raises ValueError too.
     """
     f1, f2, f3 = v_gate_forms(theta1, theta2)
     spread = max(np.abs(f1 - f2).max(), np.abs(f1 - f3).max())
     if spread > tol:
-        raise AssertionError(f"V-gate forms disagree by {spread:.3e}")
+        raise ValueError(f"V-gate forms disagree by {spread:.3e}")
     return SymplecticOp(f1)
 
 

@@ -12,6 +12,7 @@ set membership) with converters to numpy and exact form.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Iterable
@@ -70,7 +71,7 @@ def enumerate_sign_orthogonal(n: int) -> frozenset[SignMatrix]:
     signs = (1 - 2 * bits).astype(np.int16).reshape(count, n, n)
     gram = signs @ signs.transpose(0, 2, 1)
     ok = (gram == n * np.eye(n, dtype=np.int16)).all(axis=(1, 2))
-    return frozenset(tuple(int(v) for v in m.ravel()) for m in signs[ok])
+    return frozenset(map(tuple, signs[ok].reshape(-1, n * n).tolist()))
 
 
 def enumerate_hadamard4() -> frozenset[SignMatrix]:
@@ -80,8 +81,8 @@ def enumerate_hadamard4() -> frozenset[SignMatrix]:
 
 def row_parity(h: SignMatrix) -> tuple[int, ...]:
     """Per-row parity: the number of -1 entries in each row, mod 2."""
-    arr = to_array(h)
-    return tuple(int((row < 0).sum() % 2) for row in arr)
+    n = int(round(len(h) ** 0.5))
+    return tuple(sum(v < 0 for v in h[i : i + n]) % 2 for i in range(0, len(h), n))
 
 
 def class_parity(h: SignMatrix) -> int:
@@ -96,15 +97,17 @@ def class_parity(h: SignMatrix) -> int:
     return parities.pop()
 
 
-def _signed_row_perms(n: int = 4) -> np.ndarray:
-    """All n! * 2**n signed permutation matrices, by permutation, then row signs (+1 first)."""
-    mats = []
-    eye = np.eye(n, dtype=np.int16)
-    for perm in permutations(range(n)):
-        p = eye[list(perm)]
-        for signs in product((1, -1), repeat=n):
-            mats.append(np.diag(np.array(signs, dtype=np.int16)) @ p)
-    return np.stack(mats)
+@functools.cache
+def _signed_row_perms() -> np.ndarray:
+    """All 4! * 2**4 = 384 signed permutation matrices, by permutation, then
+    row signs (+1 first), shape (384, 4, 4).  Built once and read-only: the
+    one orbit that generation, the realization census and the reference
+    decompositions share."""
+    perms = np.eye(4, dtype=np.int16)[list(permutations(range(4)))]  # (24, 4, 4)
+    signs = np.array(list(product((1, -1), repeat=4)), dtype=np.int16)  # (16, 4)
+    mats = (perms[:, None] * signs[None, :, :, None]).reshape(-1, 4, 4)
+    mats.setflags(write=False)
+    return mats
 
 
 def generate_class(
@@ -124,7 +127,7 @@ def generate_class(
     flipped = orbit.copy()
     flipped[:, :, negate_column - 1] *= -1
     both = np.concatenate([orbit, flipped])
-    return frozenset(tuple(int(v) for v in m.ravel()) for m in both)
+    return frozenset(map(tuple, both.reshape(-1, 16).tolist()))
 
 
 @dataclass

@@ -10,14 +10,16 @@ distinct networks.
 The 12**4 candidate sweep is the stacked form of the exact kernel: it
 multiplies the splitter matrices' int64 parts with
 :func:`~foursplit.exact.ring_matmul`, the product :class:`ExactMatrix` uses,
-so it needs no tolerances.  :meth:`BsNetwork.matrix` is kept as a cross-check.
+so it needs no tolerances.  It runs once per process; the theorem-2 report
+and the census both read it.  :meth:`BsNetwork.matrix` is kept as a
+cross-check.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
-from itertools import product as iter_product
 from typing import Sequence
 
 import numpy as np
@@ -113,19 +115,25 @@ def enumerate_candidates() -> np.ndarray:
 
     Column 0 is the first splitter applied; the last column ticks fastest.
     """
-    return np.array(list(iter_product(range(12), repeat=4)), dtype=np.int64)
+    return np.indices((12,) * 4, dtype=np.int64).reshape(4, -1).T
 
 
-def _balanced_mask(idx: np.ndarray) -> np.ndarray:
-    """Exact balancedness of each candidate sequence: the stacked kernel.  The
-    splitters share one canonical exponent m, so four-factor products sit at 4m."""
+def _balanced_signs() -> tuple[np.ndarray, np.ndarray]:
+    """(mask, 2R) of every candidate in :func:`enumerate_candidates` order.
+
+    Each prefix product is formed once (12 -> 144 -> 1,728 -> 20,736
+    matrices): the next splitter multiplies from the left and its index
+    ticks fastest, as in the odometer.  The splitters share one canonical
+    exponent m, so four-factor products sit at 4m.
+    """
     splitters = [beam_splitter_matrix(4, s, d) for s, d in SPLITTER_PAIRS]
     (m,) = {sp.m for sp in splitters}
     a_parts, b_parts = np.stack([sp.A for sp in splitters]), np.stack([sp.B for sp in splitters])
-    acc_a, acc_b = a_parts[idx[:, 0]], b_parts[idx[:, 0]]
-    for step in range(1, 4):
-        acc_a, acc_b = ring_matmul(a_parts[idx[:, step]], b_parts[idx[:, step]], acc_a, acc_b)
-    return signs_of_halves(acc_a, acc_b, 4 * m)[0]
+    acc_a, acc_b = a_parts, b_parts
+    for _ in range(3):
+        acc_a, acc_b = ring_matmul(a_parts[None], b_parts[None], acc_a[:, None], acc_b[:, None])
+        acc_a, acc_b = acc_a.reshape(-1, 4, 4), acc_b.reshape(-1, 4, 4)
+    return signs_of_halves(acc_a, acc_b, 4 * m)
 
 
 def _conditions_mask(idx: np.ndarray) -> np.ndarray:
@@ -182,40 +190,68 @@ class Theorem2Report:
         }
 
 
+@dataclass(frozen=True, eq=False)
+class _Sweep:
+    """One exhaustive sweep: its counts, and the balanced candidates' index
+    rows and doubled matrices 2R.  The arrays are read-only."""
+
+    balanced: np.ndarray  # (20736,) bool
+    rows: np.ndarray  # (384, 4) splitter indices
+    signs: np.ndarray  # (384, 4, 4) int8
+    condition_pass_count: int
+    counterexample_indices: tuple[int, ...]
+    elapsed_seconds: float
+
+
+@functools.cache
+def _sweep() -> _Sweep:
+    t0 = time.perf_counter()
+    idx = enumerate_candidates()
+    balanced, signs = _balanced_signs()
+    conds = _conditions_mask(idx)
+    rows, signs = idx[balanced], signs[balanced]
+    for arr in (balanced, rows, signs):
+        arr.setflags(write=False)
+    return _Sweep(
+        balanced=balanced,
+        rows=rows,
+        signs=signs,
+        condition_pass_count=int(conds.sum()),
+        counterexample_indices=tuple(np.nonzero(balanced != conds)[0].tolist()),
+        elapsed_seconds=time.perf_counter() - t0,
+    )
+
+
 def verify_theorem2(cross_check_stride: int = 0) -> Theorem2Report:
     """Sweep all 20,736 directed four-splitter sequences on four modes.
 
     For every candidate, evaluates both the structural conditions and exact
     balancedness of the network matrix, and records any disagreement.  The
-    condition-pass count is reported from the run rather than assumed.
+    condition-pass count is reported from the run rather than assumed.  The
+    sweep runs once per process; ``elapsed_seconds`` is its time plus that of
+    this call's cross-check.
 
     ``cross_check_stride`` > 0 additionally recomputes every balanced
     candidate and every stride-th unbalanced one, network by network,
-    through :meth:`BsNetwork.matrix` and asserts agreement with the sweep.
+    through :meth:`BsNetwork.matrix` and raises on any disagreement with the
+    sweep, on every call.
     """
-    return _sweep(cross_check_stride)[0]
-
-
-def _sweep(cross_check_stride: int = 0) -> tuple[Theorem2Report, np.ndarray]:
-    """The theorem-2 report and the balanced candidates' index rows."""
+    sweep = _sweep()
     t0 = time.perf_counter()
-    idx = enumerate_candidates()
-    balanced = _balanced_mask(idx)
-    conds = _conditions_mask(idx)
-    mismatches = np.nonzero(balanced != conds)[0]
     if cross_check_stride > 0:
-        recheck = np.nonzero(balanced)[0].tolist()
-        recheck += np.nonzero(~balanced)[0][::cross_check_stride].tolist()
+        recheck = np.nonzero(sweep.balanced)[0].tolist()
+        recheck += np.nonzero(~sweep.balanced)[0][::cross_check_stride].tolist()
         for i in recheck:
-            net = sequence_from_indices(idx[i])
-            assert is_balanced_foursplitter(net.matrix()) == bool(balanced[i])
+            net = sequence_from_indices(np.unravel_index(i, (12,) * 4))
+            if is_balanced_foursplitter(net.matrix()) != bool(sweep.balanced[i]):
+                raise AssertionError(f"sweep and network matrix disagree on {net.sequence}")
     return Theorem2Report(
-        candidate_count=len(idx),
-        condition_pass_count=int(conds.sum()),
-        balanced_count=int(balanced.sum()),
-        counterexample_indices=mismatches.tolist(),
-        elapsed_seconds=time.perf_counter() - t0,
-    ), idx[balanced]
+        candidate_count=sweep.balanced.size,
+        condition_pass_count=sweep.condition_pass_count,
+        balanced_count=len(sweep.rows),
+        counterexample_indices=list(sweep.counterexample_indices),
+        elapsed_seconds=sweep.elapsed_seconds + time.perf_counter() - t0,
+    )
 
 
 # -- canonical form and census -----------------------------------------------
@@ -247,9 +283,9 @@ def canonical_form(net: BsNetwork) -> BsNetwork:
     return BsNetwork(net.n_modes, tuple(seq))
 
 
-def _sign_key(mat: ExactMatrix) -> str:
-    """Sign string of a balanced four-splitter (entries +-1/2), row-major."""
-    return "".join("+" if v > 0 else "-" for v in mat.doubled_signs().ravel())
+def _sign_key(doubled: np.ndarray) -> str:
+    """Sign string of a balanced four-splitter from its 2R (entries +-1), row-major."""
+    return "".join("+" if v > 0 else "-" for v in doubled.ravel())
 
 
 @dataclass
@@ -285,25 +321,27 @@ def physical_census() -> CensusReport:
     """Classify all balanced four-splitter sequences.
 
     Groups the passing sequences into physical classes (canonical forms under
-    adjacent disjoint commutation), computes each class matrix exactly, and
-    histograms how many classes share a matrix.
+    adjacent disjoint commutation), reads each class matrix from the sweep's
+    exact 2R of its members, and histograms how many classes share a matrix.
     """
-    rep, passing = _sweep()
-    classes: set[tuple[Pair, ...]] = set()
-    for indices in passing:
-        classes.add(canonical_form(sequence_from_indices(indices)).sequence)
+    sweep = _sweep()
+    class_keys: dict[tuple[Pair, ...], str] = {}
+    for indices, doubled in zip(sweep.rows, sweep.signs):
+        seq = canonical_form(sequence_from_indices(indices)).sequence
+        key = _sign_key(doubled)
+        if class_keys.setdefault(seq, key) != key:
+            raise AssertionError(f"members of class {seq} have different matrices")
     by_matrix: dict[str, list[tuple[Pair, ...]]] = {}
-    for seq in sorted(classes):
-        key = _sign_key(BsNetwork(4, seq).matrix())
-        by_matrix.setdefault(key, []).append(seq)
+    for seq in sorted(class_keys):
+        by_matrix.setdefault(class_keys[seq], []).append(seq)
     histogram: dict[int, int] = {}
     for seqs in by_matrix.values():
         histogram[len(seqs)] = histogram.get(len(seqs), 0) + 1
     return CensusReport(
-        candidate_count=rep.candidate_count,
-        condition_pass_count=rep.condition_pass_count,
-        balanced_count=rep.balanced_count,
-        physical_class_count=len(classes),
+        candidate_count=sweep.balanced.size,
+        condition_pass_count=sweep.condition_pass_count,
+        balanced_count=len(sweep.rows),
+        physical_class_count=len(class_keys),
         distinct_matrix_count=len(by_matrix),
         multiplicity_histogram=histogram,
         representatives=by_matrix,

@@ -229,7 +229,7 @@ def simulate_gadget(
 
     for net_mode, out_mode in ANCILLA_PAIRS:
         state = apply(gates.beam_splitter().embed(n, (net_mode, out_mode)), state)
-    state = apply(gates.network_op(physical.network()).embed(n, (1, 2, 3, 4)), state)
+    state = apply(gates.architecture_op(physical.name).embed(n, (1, 2, 3, 4)), state)
 
     rng = np.random.default_rng(seed)
     raw: list[float] = [0.0, 0.0, 0.0, 0.0]
@@ -300,6 +300,20 @@ class CompletionExperiment:
             "mean_deviation": self.mean_deviation,
             "cov_deviation": self.cov_deviation,
         }
+
+
+#: The virtual-completion claim: each kind-a layout, its completion and
+#: angles respecting its equal-angle restriction.
+COMPLETION_CASES: tuple[tuple[str, str, tuple[float, float, float, float]], ...] = (
+    ("BSL", "cBSL", (0.8, -0.4, 1.1, 0.8)),
+    ("DBSL", "cDBSL", (0.5, 1.2, -0.9, 0.5)),
+    ("MSG", "cMSG", (1.0, 0.3, 0.3, -0.7)),
+)
+#: The kind-b layout that outcome rewiring cannot complete: the experiment
+#: must refuse it even at equal angles.
+REFUSED_COMPLETION: tuple[str, str, tuple[float, float, float, float]] = (
+    "MBSL", "cMBSL", (0.5, 0.5, 0.5, 0.5),
+)
 
 
 def virtual_completion_experiment(

@@ -15,6 +15,7 @@ sweep by construction.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from itertools import permutations, product
@@ -36,6 +37,11 @@ from .hadamard import _signed_row_perms
 from .networks import BsNetwork, Pair, is_balanced_foursplitter
 
 SQRT2_INV = 2 ** -0.5
+
+#: Largest grid of the no-virtual-completion scan, per angle: 20**4 = 160,000
+#: grid points, whose 4x4 complex conjugates take about 44 MB per array
+#: (a run at the cap peaks under 200 MB).
+MAX_GRID_POINTS = 20
 
 
 @dataclass(frozen=True)
@@ -156,7 +162,14 @@ def architecture(name: str) -> Architecture:
 
 
 def architecture_matrix(name: str) -> ExactMatrix:
-    return architecture(name).matrix()
+    """The exact matrix of a registry architecture, built once per name
+    (an :class:`ExactMatrix` is immutable, so callers share it)."""
+    return _registry_matrix(architecture(name).name)
+
+
+@functools.cache
+def _registry_matrix(name: str) -> ExactMatrix:
+    return ARCHITECTURES[name].matrix()
 
 
 # -- relating completed architectures to the reference network ---------------
@@ -357,11 +370,14 @@ def no_virtual_completion_scan(
     is not uniform.  The sweep covers a full grid over (-pi/2, pi/2]^4 plus
     random draws, records the smallest maximum off-diagonal magnitude over
     all non-uniform points, and checks that uniform angles do produce a
-    diagonal (the trivial global-phase case).
+    diagonal (the trivial global-phase case).  ``grid_points`` is limited
+    to 1..:data:`MAX_GRID_POINTS`.
     """
+    if not 1 <= grid_points <= MAX_GRID_POINTS:
+        raise ValueError(f"grid_points must be in 1..{MAX_GRID_POINTS}, got {grid_points}")
     r = residual.to_float()
     axis = -np.pi / 2 + np.pi * (np.arange(1, grid_points + 1) / grid_points)
-    grid = np.array(list(product(axis, repeat=4)))
+    grid = np.stack(np.meshgrid(axis, axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 4)
     rng = np.random.default_rng(seed)
     rand = rng.uniform(-np.pi / 2, np.pi / 2, size=(random_points, 4))
     thetas = np.vstack([grid, rand])
@@ -475,7 +491,7 @@ def registry_json_dict() -> dict:
     """Serializable dump of the architecture registry (zoo.json payload)."""
     out = {}
     for arch in _ARCH_LIST:
-        mat = arch.matrix()
+        mat = architecture_matrix(arch.name)
         entry: dict = {
             "sequence": [list(p) for p in arch.sequence],
             "kind": classify_incompleteness(mat),

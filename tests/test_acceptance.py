@@ -212,17 +212,13 @@ def test_criterion_10_noise_equivalence():
             dev = sim.noise_compare("QRL", qrl_angles[gate_name], vc_arch, vc_angles, db)
             assert dev <= 1e-9, (gate_name, vc_arch, db, dev)
 
-    for incomplete, completed, angles in [
-        ("BSL", "cBSL", (0.8, -0.4, 1.1, 0.8)),
-        ("DBSL", "cDBSL", (0.5, 1.2, -0.9, 0.5)),
-        ("MSG", "cMSG", (1.0, 0.3, 0.3, -0.7)),
-    ]:
+    for incomplete, completed, angles in sim.COMPLETION_CASES:
         exp = sim.virtual_completion_experiment(incomplete, completed, angles, 10.0)
         assert exp.mean_deviation <= 1e-9, (incomplete, exp.mean_deviation)
         assert exp.cov_deviation <= 1e-9, (incomplete, exp.cov_deviation)
 
     with pytest.raises(ValueError):
-        sim.virtual_completion_experiment("MBSL", "cMBSL", (0.5, 0.5, 0.5, 0.5), 10.0)
+        sim.virtual_completion_experiment(*sim.REFUSED_COMPLETION, 10.0)
 
 
 def test_criterion_11_simulation_oracle():

@@ -128,6 +128,7 @@ class TestVerifyCommand:
             ("noise", "--db", "-1"),
             ("noise", "--db", "inf"),
             ("appendixD", "--grid", "0"),
+            ("appendixD", "--grid", "21"),
             ("euler", "--tol", "-1e-3"),
             ("euler", "--tol", "nan"),
         ],
@@ -136,6 +137,14 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as err:
             main(["verify", *argv])
         assert err.value.code == USAGE_ERROR
+
+    def test_appendixD_default_grid_report(self, capsys):
+        code, out = run_cli(capsys, "verify", "appendixD")
+        assert code == 0
+        report = json.loads(out)["report"]
+        assert report["nontrivial_points"] == 9**4 + 10000 - 9
+        assert report["min_max_offdiagonal"] == pytest.approx(0.0902451297750577, rel=1e-12)
+        assert report["no_completion_exists"]
 
     def test_library_value_error_is_precondition_error(self, capsys):
         code, out = run_cli(capsys, "verify", "noise", "--db", "4000")
@@ -177,6 +186,12 @@ class TestGateCommand:
         code, out = run_cli(capsys, "gate", "MSG", "0.1", "0.2", "0.3", "0.4")
         assert code == PRECONDITION_ERROR
         assert "error" in json.loads(out)
+
+    @pytest.mark.parametrize("command", ["gate", "simulate"])
+    def test_disagreeing_v_gate_forms_are_precondition_error(self, capsys, command):
+        code, out = run_cli(capsys, command, "QRL", "0", "5.960464477539063e-08", "0", "0")
+        assert code == PRECONDITION_ERROR
+        assert "V-gate forms disagree" in json.loads(out)["error"]
 
     def test_mbsl_has_no_virtual_gate(self, capsys):
         code, out = run_cli(capsys, "gate", "MBSL", "0.5", "0.5", "0.5", "0.5")

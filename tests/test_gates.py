@@ -564,3 +564,24 @@ class TestCircuitIdentities:
         data = report.to_json_dict()
         assert data["all_pass"] is True
         assert set(data["deviations"]) == set(report.deviations)
+
+
+@pytest.mark.parametrize("name", zoo.architecture_names())
+def test_architecture_op_is_cached_and_fresh(name):
+    expected = network_op(zoo.architecture(name).network()).matrix
+    op = gates.architecture_op(name)
+    assert np.array_equal(op.matrix, expected)
+    with pytest.raises(ValueError):
+        op.matrix[0, 0] = 9.0
+    op.shift[:] = 5.0
+    op.matrix = np.zeros((8, 8))
+    later = gates.architecture_op(name)
+    assert later is not op
+    assert np.array_equal(later.matrix, expected)
+    assert not later.shift.any()
+
+
+def test_v_gate_disagreement_is_value_error():
+    # just outside SINGULAR_TOL the three forms drift apart by ~2e-9
+    with pytest.raises(ValueError, match="disagree"):
+        v_gate(0.0, 5.960464477539063e-08)

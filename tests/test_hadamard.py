@@ -110,3 +110,25 @@ def test_realized_set_equals_hadamard_class():
     ]
     census = realization_census(mats)
     assert set(census.counts) == {sign_string(h) for h in enumerate_hadamard4()}
+
+
+def test_signed_row_perms_is_one_read_only_orbit():
+    from itertools import permutations, product
+
+    orbit = hadamard._signed_row_perms()
+    assert hadamard._signed_row_perms() is orbit
+    with pytest.raises(ValueError):
+        orbit[0, 0, 0] = 5
+    # the loop construction it replaces, in the same order
+    eye = np.eye(4, dtype=np.int16)
+    loop = [
+        np.diag(np.array(signs, dtype=np.int16)) @ eye[list(perm)]
+        for perm in permutations(range(4))
+        for signs in product((1, -1), repeat=4)
+    ]
+    assert np.array_equal(orbit, np.stack(loop))
+
+
+def test_row_parity_matches_array_count():
+    for h in enumerate_hadamard4():
+        assert row_parity(h) == tuple(int((row < 0).sum() % 2) for row in to_array(h))

@@ -135,3 +135,68 @@ def test_non_orthogonal_matrix_rejected():
         is_balanced_foursplitter(bad)
     # Wrong size is an answerable question, not an error.
     assert not is_balanced_foursplitter(ExactMatrix.identity(3))
+
+
+# -- the sweep runs once per process ------------------------------------------
+
+
+def test_one_sweep_serves_theorem2_and_census(monkeypatch):
+    calls = []
+    original = networks.enumerate_candidates
+    monkeypatch.setattr(networks, "enumerate_candidates", lambda: calls.append(1) or original())
+    networks._sweep.cache_clear()
+    verify_theorem2()
+    physical_census()
+    verify_theorem2()
+    assert len(calls) == 1
+
+
+def test_sweep_arrays_are_read_only():
+    sweep = networks._sweep()
+    for arr in (sweep.balanced, sweep.rows, sweep.signs):
+        with pytest.raises(ValueError):
+            arr.flat[0] = 0
+
+
+def test_sweep_signs_match_network_matrices():
+    # the prefix-product sweep against the network-by-network product
+    sweep = networks._sweep()
+    assert len(sweep.rows) == 384
+    for indices, doubled in zip(sweep.rows, sweep.signs):
+        mat = sequence_from_indices(indices).matrix()
+        assert np.array_equal(mat.doubled_signs(), doubled)
+
+
+def test_cross_check_reruns_on_cached_sweep(monkeypatch):
+    verify_theorem2()  # the sweep is cached from here on
+    checked = []
+    original = networks.is_balanced_foursplitter
+
+    def counting(mat):
+        checked.append(1)
+        return original(mat)
+
+    monkeypatch.setattr(networks, "is_balanced_foursplitter", counting)
+    assert verify_theorem2(cross_check_stride=1000).equivalence_holds
+    assert len(checked) == 384 + len(range(0, 20736 - 384, 1000))
+
+    monkeypatch.setattr(networks, "is_balanced_foursplitter", lambda mat: False)
+    with pytest.raises(AssertionError, match="disagree"):
+        verify_theorem2(cross_check_stride=1000)
+
+
+def test_census_is_repeatable():
+    first = physical_census()
+    first.representatives.clear()
+    first.multiplicity_histogram.clear()
+    assert physical_census().to_json_dict() == physical_census().to_json_dict()
+    assert physical_census().multiplicity_histogram == {2: 24, 3: 16}
+
+
+def test_census_keys_match_class_matrices():
+    # the census reads class keys from the sweep; rebuild each class matrix
+    census = physical_census()
+    classes = [(key, seq) for key, seqs in census.representatives.items() for seq in seqs]
+    assert len(classes) == 96
+    for key, seq in classes:
+        assert key == networks._sign_key(BsNetwork(4, seq).matrix().doubled_signs()), seq

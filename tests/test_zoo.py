@@ -256,3 +256,26 @@ def test_parity_flags():
     assert architecture("cDBSL").parity_on_output
     assert architecture("cMSG").parity_on_output
     assert not architecture("cMBSL").parity_on_output
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_MATRICES))
+def test_cached_registry_matrix_cannot_be_mutated(name):
+    mat = architecture_matrix(name)
+    assert architecture_matrix(name) is mat
+    with pytest.raises(ValueError):
+        mat.A[0, 0] = 7
+    with pytest.raises(AttributeError):
+        mat.m = 0
+    assert architecture_matrix(name) == architecture(name).matrix() == _decode(FROZEN_MATRICES[name])
+
+
+def test_unknown_architecture_is_not_cached():
+    with pytest.raises(KeyError):
+        architecture_matrix("nope")
+    assert zoo._registry_matrix.cache_info().currsize <= len(FROZEN_MATRICES)
+
+
+def test_scan_grid_above_cap_rejected():
+    residual = residual_analysis("MBSL", "cMBSL").residual
+    with pytest.raises(ValueError, match="grid_points"):
+        no_virtual_completion_scan(residual, grid_points=zoo.MAX_GRID_POINTS + 1)
