@@ -329,6 +329,94 @@ class TestGadget:
         assert len(payload["output_mean"]) == 4
 
 
+GATE_NAMES = ("QRL", "cBSL", "cDBSL", "cMSG", "cMBSL", "vcBSL", "vcDBSL", "vcMSG")
+OUTCOMES = st.lists(st.floats(-5.0, 5.0), min_size=4, max_size=4)
+
+
+@given(
+    st.sampled_from(GATE_NAMES),
+    st.lists(st.floats(-math.pi, math.pi), min_size=4, max_size=4),
+    st.floats(3.0, 20.0),
+    OUTCOMES,
+    OUTCOMES,
+)
+@settings(max_examples=100, deadline=None)
+def test_output_covariance_ignores_outcomes_property(name, angles, db, first, second):
+    arch, rule = gates.resolve_gate_architecture(name)
+    if rule is not None:
+        j, k = rule.pair
+        angles[k - 1] = angles[j - 1]
+    eff = [angles[idx - 1] for idx, _ in arch.gate_slots]
+    # each V pair stays clear of equal angles mod pi, where V is undefined
+    assume(abs(math.sin(eff[0] - eff[1])) >= 0.1)
+    assume(abs(math.sin(eff[2] - eff[3])) >= 0.1)
+    cov_a = simulate_gadget(name, angles, db, outcomes=first).output.cov
+    cov_b = simulate_gadget(name, angles, db, outcomes=second).output.cov
+    assert np.abs(cov_a - cov_b).max() <= 1e-9 * max(1.0, np.abs(cov_a).max())
+
+
+#: Seeded runs pinned to the values of the sequential one-mode-at-a-time
+#: conditioning: (name, angles, dB, input seed or None for vacuum, seed,
+#: raw outcomes, output mean, output covariance).
+PINNED_RUNS = [
+    (
+        "cBSL", (0.8, -0.4, 1.1, 0.8), 12.0, None, 5,
+        (0.708286358781, -0.371630945034, -0.438161625237, -1.199954046463),
+        (2.770257903501, -2.626511884852, 3.752988471864, -3.808026267371),
+        (
+            (1.02939969055, -0.161858241917, 0.84065182091, -0.721626904121),
+            (-0.161858241917, 1.02939969055, -0.721626904121, 0.84065182091),
+            (0.84065182091, -0.721626904121, 1.281608936427, -0.977108291261),
+            (-0.721626904121, 0.84065182091, -0.977108291261, 1.281608936427),
+        ),
+    ),
+    (
+        "vcDBSL", (0.5, 1.2, -0.9, 0.5), 10.0, 17, 3,
+        (-1.055604056754, 0.006969074892, -3.259894421844, 1.842692297794),
+        (-0.086989282705, 1.077366418194, -0.006146416399, 0.142918276642),
+        (
+            (0.692581717611, -0.073293621464, 0.321616820824, -0.366505831112),
+            (-0.073293621464, 0.692581717611, -0.366505831112, 0.321616820824),
+            (0.321616820824, -0.366505831112, 0.675815255383, -0.268872146331),
+            (-0.366505831112, 0.321616820824, -0.268872146331, 0.675815255383),
+        ),
+    ),
+    (
+        "QRL", (HALF_PI, HALF_PI + CHI, HALF_PI, HALF_PI - CHI), 20.0, None, 11,
+        (-3.524587078201, 4.373343327638, 4.331975152063, 0.122098584841),
+        (0.118068765836, 0.137120149047, 0.116559648641, 0.223115442669),
+        (
+            (0.490759056702, 0.0, 0.0, 0.471334312918),
+            (0.0, 0.490759056702, 0.471334312918, 0.0),
+            (0.0, 0.471334312918, 0.96209336962, 0.0),
+            (0.471334312918, 0.0, 0.0, 0.96209336962),
+        ),
+    ),
+    (
+        "vcMSG", (1.0, 0.3, 0.3, -0.7), 5.0, 4, 0,
+        (0.062628054199, 1.505243350113, 0.289294616517, 1.258586913811),
+        (-1.638954197336, 3.333294070798, 1.38199739031, 0.506125001616),
+        (
+            (0.630558676914, -0.02838539188, 0.074861913869, 0.13287786404),
+            (-0.02838539188, 0.630558676914, 0.13287786404, 0.074861913869),
+            (0.074861913869, 0.13287786404, 0.435666238092, 0.051163421429),
+            (0.13287786404, 0.074861913869, 0.051163421429, 0.435666238092),
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name,angles,db,input_seed,seed,raw,mean,cov", PINNED_RUNS, ids=[r[0] for r in PINNED_RUNS]
+)
+def test_seeded_run_pinned(name, angles, db, input_seed, seed, raw, mean, cov):
+    probe = None if input_seed is None else _random_input(input_seed)
+    res = simulate_gadget(name, angles, db, probe, seed=seed)
+    assert np.allclose(res.raw_outcomes, raw, rtol=0.0, atol=1e-9)
+    assert np.allclose(res.output.mean, mean, rtol=0.0, atol=1e-9)
+    assert np.allclose(res.output.cov, cov, rtol=0.0, atol=1e-9)
+
+
 class TestExtractedGate:
     def test_cz_angles_reproduce_cz(self):
         angles = (HALF_PI, HALF_PI + CHI, HALF_PI, HALF_PI - CHI)
