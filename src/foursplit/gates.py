@@ -152,11 +152,6 @@ def displacement(dq: float, dp: float) -> SymplecticOp:
     return SymplecticOp(np.eye(2), np.array([dq, dp]))
 
 
-def displacement_from_amplitude(alpha: complex) -> SymplecticOp:
-    """Displacement by a complex amplitude: mean shift sqrt(2)(Re, Im)."""
-    return displacement(math.sqrt(2) * alpha.real, math.sqrt(2) * alpha.imag)
-
-
 def beam_splitter(theta: float = math.pi / 4) -> SymplecticOp:
     """Two-mode splitter mixing (1 -> 2); balanced at theta = pi/4.
 

@@ -35,11 +35,6 @@ def from_array(arr: np.ndarray) -> SignMatrix:
     return tuple(int(v) for v in np.asarray(arr, dtype=np.int64).ravel())
 
 
-def half_exact(h: SignMatrix) -> ExactMatrix:
-    """The orthogonal matrix H/2 (entries +-1/2) for a 4x4 member."""
-    return ExactMatrix.from_ints((2 * to_array(h)).tolist(), denom_exp=4)
-
-
 def sign_string(h: SignMatrix) -> str:
     return "".join("+" if v > 0 else "-" for v in h)
 
@@ -146,14 +141,6 @@ class RealizationCensus:
     @property
     def multiplicities(self) -> set[int]:
         return set(self.counts.values())
-
-    def to_json_dict(self) -> dict:
-        return {
-            "total_products": self.total_products,
-            "distinct_results": self.distinct_results,
-            "multiplicities": sorted(self.multiplicities),
-            "counts": dict(sorted(self.counts.items())),
-        }
 
 
 def _pack_keys(mats: np.ndarray) -> np.ndarray:

@@ -4,7 +4,11 @@ States are tracked as mean vectors and covariance matrices in the
 quadrature ordering ``(q_1 .. q_n, p_1 .. p_n)`` with vacuum covariance
 ``I/2``.  The gadget couples two squeezed ancilla pairs to a four-mode
 splitter network, homodynes the four network modes, and leaves the
-teleported two-mode output on the ancilla partner modes.
+teleported two-mode output on the ancilla partner modes.  A run builds the
+six-mode state once, applies the couplers and the network as one symplectic
+matrix, and conditions on all four outcomes in one step; states are
+validated where they enter (the squeezed ancillas), after the network, and
+at the output.
 """
 
 from __future__ import annotations
@@ -105,49 +109,58 @@ def apply(op: SymplecticOp, state: GaussianState) -> GaussianState:
 
 def homodyne(
     state: GaussianState,
-    mode: int,
-    theta: float,
-    outcome: float | None = None,
+    modes: Sequence[int],
+    thetas: Sequence[float],
+    outcomes: Sequence[float] | None = None,
     rng: np.random.Generator | None = None,
-) -> tuple[float, GaussianState]:
-    """Measure p_theta = q sin(theta) + p cos(theta) on a mode and remove it.
+) -> tuple[tuple[float, ...], GaussianState]:
+    """Measure p_theta = q sin(theta) + p cos(theta) on several modes and remove them.
 
-    Rotating the mode by R(theta) maps p_theta onto the plain p quadrature,
-    which is then conditioned on via the Schur complement.  Passing
-    ``outcome`` fixes the result; otherwise it is sampled from ``rng``.
+    The measured quadratures are the :func:`gates.quadrature_covector` rows;
+    the remaining modes are conditioned on all of them in one Schur
+    complement over their joint outcome marginal.  Passing ``outcomes``
+    fixes the results, one per mode in the order of ``modes``; otherwise
+    they are sampled from ``rng`` in that order through the Cholesky factor
+    of the marginal, which draws what measuring the modes one at a time in
+    that order would.
     """
-    rotated = apply(gates.rotation(theta).embed(state.n_modes, (mode,)), state)
-    qi, pi = rotated.mode_indices(mode)
-    var = rotated.cov[pi, pi]
-    if var <= CONDITION_FLOOR:
+    if len(thetas) != len(modes) or (outcomes is not None and len(outcomes) != len(modes)):
+        raise ValueError("need one angle, and one outcome if fixed, per measured mode")
+    measured = [i for mode in modes for i in state.mode_indices(mode)]
+    if len(set(measured)) != len(measured):
+        raise ValueError(f"measured modes {tuple(modes)} are not distinct")
+    keep = [i for i in range(2 * state.n_modes) if i not in measured]
+    rows = np.array([gates.quadrature_covector(state.n_modes, m, t) for m, t in zip(modes, thetas)])
+    try:
+        chol = np.linalg.cholesky(rows @ state.cov @ rows.T)
+    except np.linalg.LinAlgError:
+        chol = None
+    # the squared pivots are the variances of each outcome given the earlier ones
+    if chol is None or np.diag(chol).min() ** 2 <= CONDITION_FLOOR:
         raise ValueError("measured quadrature variance is numerically zero")
-    if outcome is None:
+    expected = rows @ state.mean
+    if outcomes is None:
         if rng is None:
             rng = np.random.default_rng()
-        outcome = float(rng.normal(rotated.mean[pi], np.sqrt(var)))
-    keep = [i for i in range(2 * state.n_modes) if i not in (qi, pi)]
-    cross = rotated.cov[keep, pi]
-    mean = rotated.mean[keep] + cross * (outcome - rotated.mean[pi]) / var
-    cov = rotated.cov[np.ix_(keep, keep)] - np.outer(cross, cross) / var
-    return outcome, GaussianState(state.n_modes - 1, mean, cov)
-
-
-def _place(
-    target_mean: np.ndarray,
-    target_cov: np.ndarray,
-    n_total: int,
-    modes: Sequence[int],
-    part: GaussianState,
-) -> None:
-    idx = [m - 1 for m in modes] + [n_total + m - 1 for m in modes]
-    target_mean[idx] = part.mean
-    target_cov[np.ix_(idx, idx)] = part.cov
+        white = rng.standard_normal(len(modes))
+        values = expected + chol @ white
+    else:
+        values = np.asarray(outcomes, dtype=float)
+        white = np.linalg.solve(chol, values - expected)
+    gain = np.linalg.solve(chol, rows @ state.cov[:, keep]).T
+    mean = state.mean[keep] + gain @ white
+    cov = state.cov[np.ix_(keep, keep)] - gain @ gain.T
+    return tuple(values.tolist()), GaussianState(state.n_modes - len(modes), mean, cov)
 
 
 # Gadget layout: inputs ride modes 1 and 3; ancilla pairs (2, 5) and (4, 6)
 # are each coupled by one balanced splitter, leaving outputs on 5 and 6.
 OUT_A, OUT_B = 5, 6
 ANCILLA_PAIRS = ((2, OUT_A), (4, OUT_B))
+#: Both ancilla couplers as one six-mode operator.
+COUPLERS = gates.beam_splitter().embed(6, ANCILLA_PAIRS[0]) @ gates.beam_splitter().embed(
+    6, ANCILLA_PAIRS[1]
+)
 
 # Squeezing axes (network-side mode, output-side mode).  Identical axes on
 # both halves commute with the real coupler and yield an uncorrelated
@@ -219,44 +232,39 @@ def simulate_gadget(
     net_axis, out_axis = ORIENTATIONS[orientation]
 
     n = 6
+    inputs = [0, 2, n, n + 2]  # q1, q3, p1, p3
     mean = np.zeros(2 * n)
+    mean[inputs] = input_state.mean
     cov = np.zeros((2 * n, 2 * n))
-    _place(mean, cov, n, (1, 3), input_state)
-    for net_mode, out_mode in ANCILLA_PAIRS:
-        _place(mean, cov, n, (net_mode,), squeezed_vacuum(ancilla_db, net_axis))
-        _place(mean, cov, n, (out_mode,), squeezed_vacuum(ancilla_db, out_axis))
-    state = GaussianState(n, mean, cov)
+    cov[np.ix_(inputs, inputs)] = input_state.cov
+    for ancilla_modes, axis in zip(zip(*ANCILLA_PAIRS), (net_axis, out_axis)):
+        q_var, p_var = np.diag(squeezed_vacuum(ancilla_db, axis).cov)
+        for mode in ancilla_modes:
+            cov[mode - 1, mode - 1], cov[n + mode - 1, n + mode - 1] = q_var, p_var
+    net = (gates.architecture_op(physical.name).embed(n, (1, 2, 3, 4)) @ COUPLERS).matrix
+    state = GaussianState(n, net @ mean, net @ cov @ net.T)
 
-    for net_mode, out_mode in ANCILLA_PAIRS:
-        state = apply(gates.beam_splitter().embed(n, (net_mode, out_mode)), state)
-    state = apply(gates.architecture_op(physical.name).embed(n, (1, 2, 3, 4)), state)
-
-    rng = np.random.default_rng(seed)
-    raw: list[float] = [0.0, 0.0, 0.0, 0.0]
-    for mode in (4, 3, 2, 1):
-        fixed = None if outcomes is None else float(outcomes[mode - 1])
-        m, state = homodyne(state, mode, float(angles[mode - 1]), fixed, rng)
-        raw[mode - 1] = m
-
+    order = (4, 3, 2, 1)
+    fixed = None if outcomes is None else [outcomes[m - 1] for m in order]
+    measured, output = homodyne(
+        state, order, [angles[m - 1] for m in order], fixed, np.random.default_rng(seed)
+    )
+    raw = measured[::-1]
     processed = list(raw) if rule is None else list(rule.transform_outcomes(raw))
 
     shift = gate.displacement(raw)
-    state = apply(SymplecticOp(np.eye(4), -shift), state)
+    # a mean shift leaves the validated covariance as it is
+    output.mean[:] -= shift
     return GadgetResult(
         architecture=architecture,
         angles=tuple(float(a) for a in angles),
         ancilla_db=float(ancilla_db),
-        raw_outcomes=tuple(raw),
+        raw_outcomes=raw,
         processed_outcomes=tuple(processed),
         correction=tuple((-shift).tolist()),
-        output=state,
+        output=output,
         gate=gate,
     )
-
-
-def _parity_aligned(cov: np.ndarray) -> np.ndarray:
-    flip = np.diag([1.0, -1.0, 1.0, -1.0])
-    return flip @ cov @ flip
 
 
 def noise_compare(
@@ -278,7 +286,8 @@ def noise_compare(
     parity_a = gates.resolve_gate_architecture(arch_a)[0].parity_on_output
     parity_b = gates.resolve_gate_architecture(arch_b)[0].parity_on_output
     if parity_a != parity_b:
-        cov_b = _parity_aligned(cov_b)
+        flip = gates.double_fourier().embed(2, (2,)).matrix
+        cov_b = flip @ cov_b @ flip.T
     return float(np.abs(cov_a - cov_b).max())
 
 
@@ -343,15 +352,15 @@ def virtual_completion_experiment(
     replay = simulate_gadget(completed, angles, ancilla_db, input_state, outcomes=virtual.processed_outcomes)
 
     # Undo the correction on both sides: it is outcome-convention specific.
-    out_v = apply(SymplecticOp(np.eye(4), -np.asarray(virtual.correction)), virtual.output)
-    out_c = apply(SymplecticOp(np.eye(4), -np.asarray(replay.correction)), replay.output)
+    mean_v = virtual.output.mean - virtual.correction
+    mean_c = replay.output.mean - replay.correction
     return CompletionExperiment(
         incomplete=incomplete,
         completed=completed,
         angles=tuple(float(a) for a in angles),
         ancilla_db=float(ancilla_db),
-        mean_deviation=float(np.abs(out_v.mean - out_c.mean).max()),
-        cov_deviation=float(np.abs(out_v.cov - out_c.cov).max()),
+        mean_deviation=float(np.abs(mean_v - mean_c).max()),
+        cov_deviation=float(np.abs(virtual.output.cov - replay.output.cov).max()),
     )
 
 

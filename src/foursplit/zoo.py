@@ -16,7 +16,6 @@ sweep by construction.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Sequence
@@ -302,15 +301,6 @@ class ResidualReport:
     zero_entries: int
     kind: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "incomplete": self.incomplete,
-            "completed": self.completed,
-            "kind": self.kind,
-            "zero_entries": self.zero_entries,
-            "residual": self.residual.text_rows(),
-        }
-
 
 def residual_analysis(incomplete: str, completed: str) -> ResidualReport:
     """The operator separating an incomplete network from its completion.
@@ -482,37 +472,3 @@ def bell_pair_insertion_identity() -> InsertionReport:
         negative_control_differs=broken.matrix() != simplified.matrix(),
         swap_lemma_holds=lemma,
     )
-
-
-# -- registry export ---------------------------------------------------------
-
-
-def registry_json_dict() -> dict:
-    """Serializable dump of the architecture registry (zoo.json payload)."""
-    out = {}
-    for arch in _ARCH_LIST:
-        mat = architecture_matrix(arch.name)
-        entry: dict = {
-            "sequence": [list(p) for p in arch.sequence],
-            "kind": classify_incompleteness(mat),
-            "matrix": mat.text_rows(),
-        }
-        if arch.completion:
-            entry["completion"] = {
-                "base": arch.completion.base,
-                "splitter": list(arch.completion.splitter),
-                "side": arch.completion.side,
-            }
-        if arch.completed_by:
-            entry["completed_by"] = arch.completed_by
-        if arch.virtual_pair:
-            entry["virtual_pair"] = list(arch.virtual_pair)
-        if arch.gate_slots:
-            entry["gate_slots"] = [list(s) for s in arch.gate_slots]
-            entry["parity_on_output"] = arch.parity_on_output
-        out[arch.name] = entry
-    return out
-
-
-def registry_json() -> str:
-    return json.dumps(registry_json_dict(), ensure_ascii=False, indent=2)

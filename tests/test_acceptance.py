@@ -238,7 +238,7 @@ def test_criterion_11_simulation_oracle():
                 v1 = gates.v_gate(eff[0], eff[1])
                 v2 = gates.v_gate(eff[2], eff[3])
                 gate = gates.two_mode_gate(name, tuple(angles))
-            except (ValueError, AssertionError):
+            except ValueError:
                 continue
             # keep the measured-out local gates well-conditioned: the
             # finite-squeezing error grows with their entry magnitudes

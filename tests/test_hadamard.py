@@ -12,7 +12,6 @@ from foursplit.hadamard import (
     enumerate_sign_orthogonal,
     from_array,
     generate_class,
-    half_exact,
     realization_census,
     row_parity,
     seed_matrix,
@@ -51,10 +50,6 @@ def test_row_parity_of_seed():
     # Rows of the seed carry 0 or 2 sign flips each: an even class member.
     assert row_parity(seed_matrix()) == (0, 0, 0, 0)
     assert class_parity(seed_matrix()) == 0
-
-
-def test_half_scaled_seed_is_orthogonal():
-    assert half_exact(seed_matrix()).is_orthogonal()
 
 
 def test_generation_reproduces_enumeration():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from foursplit import gates, sim
+from foursplit import gates
 from foursplit.gates import CHI, SymplecticOp, cz, two_mode_gate
 from foursplit.sim import (
     GaussianState,
@@ -172,7 +172,7 @@ class TestHomodyne:
     def test_vacuum_statistics(self):
         rng = np.random.default_rng(42)
         samples = [
-            homodyne(GaussianState.vacuum(1), 1, 0.3, rng=rng)[0] for _ in range(4000)
+            homodyne(GaussianState.vacuum(1), (1,), (0.3,), rng=rng)[0] for _ in range(4000)
         ]
         assert np.mean(samples) == pytest.approx(0.0, abs=0.05)
         assert np.var(samples) == pytest.approx(0.5, rel=0.1)
@@ -181,12 +181,12 @@ class TestHomodyne:
         state = GaussianState.vacuum(2)
         state = apply(gates.shear_q(2.0).embed(2, (2,)), state)
         before = state.cov[np.ix_([1, 3], [1, 3])]
-        _, reduced = homodyne(state, 1, 0.9, outcome=1.7)
+        _, reduced = homodyne(state, (1,), (0.9,), outcomes=(1.7,))
         assert np.allclose(reduced.cov, before)
         assert np.allclose(reduced.mean, 0.0)
 
     def test_fixed_outcome_returned(self):
-        m, _ = homodyne(GaussianState.vacuum(1), 1, 0.0, outcome=2.5)
+        (m,), _ = homodyne(GaussianState.vacuum(1), (1,), (0.0,), outcomes=(2.5,))
         assert m == 2.5
 
     def test_conditioning_preserves_purity(self):
@@ -196,13 +196,13 @@ class TestHomodyne:
             np.kron(np.eye(2), np.eye(2)) * 0.5,
         )
         entangled = apply(gates.cz(1.0), two)
-        _, reduced = homodyne(entangled, 2, 0.4, outcome=-0.8)
+        _, reduced = homodyne(entangled, (2,), (0.4,), outcomes=(-0.8,))
         assert reduced.purity_det() == pytest.approx(1.0, rel=1e-10)
 
     def test_covariance_ignores_outcome(self):
         entangled = apply(gates.cz(1.0), GaussianState.vacuum(2))
         covs = [
-            homodyne(entangled, 1, 0.2, outcome=m)[1].cov for m in (-3.0, 0.0, 7.5)
+            homodyne(entangled, (1,), (0.2,), outcomes=(m,))[1].cov for m in (-3.0, 0.0, 7.5)
         ]
         assert np.allclose(covs[0], covs[1])
         assert np.allclose(covs[1], covs[2])
@@ -210,32 +210,47 @@ class TestHomodyne:
     def test_entangled_pair_conditioning_tightens(self):
         # couple a p-squeezed and a q-squeezed mode on a balanced splitter,
         # then measuring one side must shrink the other side's spread
-        n = 2
-        mean = np.zeros(2 * n)
-        cov = np.zeros((2 * n, 2 * n))
-        sim._place(mean, cov, n, (1,), squeezed_vacuum(10.0, "p"))
-        sim._place(mean, cov, n, (2,), squeezed_vacuum(10.0, "q"))
-        pair = apply(gates.beam_splitter(), GaussianState(n, mean, cov))
+        p_sq, q_sq = squeezed_vacuum(10.0, "p").cov, squeezed_vacuum(10.0, "q").cov
+        cov = np.diag([p_sq[0, 0], q_sq[0, 0], p_sq[1, 1], q_sq[1, 1]])
+        pair = apply(gates.beam_splitter(), GaussianState(2, np.zeros(4), cov))
         marginal_var = pair.cov[3, 3]
-        _, conditioned = homodyne(pair, 1, 0.0, outcome=0.0)
+        _, conditioned = homodyne(pair, (1,), (0.0,), outcomes=(0.0,))
         assert conditioned.cov[1, 1] < 0.1 * marginal_var
 
     def test_equal_axes_stay_product(self):
         # identical squeezing axes commute with the real coupler: no
         # correlations form and the pair is useless for teleportation
-        n = 2
-        mean = np.zeros(2 * n)
-        cov = np.zeros((2 * n, 2 * n))
-        for mode in (1, 2):
-            sim._place(mean, cov, n, (mode,), squeezed_vacuum(10.0, "q"))
-        pair = apply(gates.beam_splitter(), GaussianState(n, mean, cov))
+        cov = np.kron(squeezed_vacuum(10.0, "q").cov, np.eye(2))
+        pair = apply(gates.beam_splitter(), GaussianState(2, np.zeros(4), cov))
         off_block = pair.cov[np.ix_([0, 2], [1, 3])]
         assert np.abs(off_block).max() < 1e-12
+
+    def test_joint_matches_one_mode_at_a_time(self):
+        squeezers = gates.squeeze(1.5).tensor(gates.squeeze(0.6)).tensor(gates.squeeze(2.0))
+        mixer = gates.cz(0.7).embed(3, (1, 3)) @ gates.beam_splitter().embed(3, (2, 3))
+        start = GaussianState(3, np.array([0.3, -1.0, 0.5, 0.2, 0.0, 1.1]), 0.5 * np.eye(6))
+        three = apply(mixer @ squeezers, start)
+        for fixed in ((0.4, -1.3), None):
+            joint, state = homodyne(three, (3, 1), (0.9, -0.2), fixed, np.random.default_rng(8))
+            rng = np.random.default_rng(8)
+            first, part = homodyne(three, (3,), (0.9,), None if fixed is None else fixed[:1], rng)
+            second, part = homodyne(part, (1,), (-0.2,), None if fixed is None else fixed[1:], rng)
+            assert np.allclose(joint, first + second, rtol=0.0, atol=1e-12)
+            assert np.allclose(state.mean, part.mean, rtol=0.0, atol=1e-12)
+            assert np.allclose(state.cov, part.cov, rtol=0.0, atol=1e-12)
+
+    def test_repeated_mode_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            homodyne(GaussianState.vacuum(2), (1, 1), (0.0, HALF_PI), outcomes=(0.0, 0.0))
+
+    def test_one_angle_per_mode(self):
+        with pytest.raises(ValueError, match="per measured mode"):
+            homodyne(GaussianState.vacuum(2), (1, 2), (0.0,))
 
     def test_zero_variance_rejected(self):
         state = squeezed_vacuum(160.0, "p")
         with pytest.raises(ValueError, match="variance"):
-            homodyne(state, 1, 0.0, outcome=0.0)
+            homodyne(state, (1,), (0.0,), outcomes=(0.0,))
 
 
 IDENTITY_ANGLES = (HALF_PI, 0.0, HALF_PI, 0.0)

@@ -1,7 +1,5 @@
 """Architecture registry: matrices, decompositions, residuals, completions."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -16,8 +14,6 @@ from foursplit.zoo import (
     find_mode_relabeling,
     no_virtual_completion_scan,
     qrl_decomposition,
-    registry_json,
-    registry_json_dict,
     residual_analysis,
     virtual_completion,
 )
@@ -231,15 +227,6 @@ def test_insertion_identity():
     assert rep.identity_holds
     assert rep.negative_control_differs
     assert rep.swap_lemma_holds
-
-
-def test_registry_json_round_trips():
-    data = registry_json_dict()
-    assert set(data) == set(FROZEN_MATRICES)
-    parsed = json.loads(registry_json())
-    assert parsed == data
-    for name in ("cBSL", "cDBSL", "cMSG", "cMBSL"):
-        assert data[name]["completion"] is not None
 
 
 def test_gate_slot_registry():
