@@ -253,7 +253,8 @@ def simulate_gadget(
     processed = list(raw) if rule is None else list(rule.transform_outcomes(raw))
 
     shift = gate.displacement(raw)
-    # a mean shift leaves the validated covariance as it is
+    # the output owns its arrays, and a mean shift leaves its validated
+    # covariance as it is
     output.mean[:] -= shift
     return GadgetResult(
         architecture=architecture,
