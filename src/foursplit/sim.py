@@ -237,6 +237,7 @@ def simulate_gadget(
     mean[inputs] = input_state.mean
     cov = np.zeros((2 * n, 2 * n))
     cov[np.ix_(inputs, inputs)] = input_state.cov
+    # network-side ancillas (2, 4) take net_axis, output-side ones (5, 6) out_axis
     for ancilla_modes, axis in zip(zip(*ANCILLA_PAIRS), (net_axis, out_axis)):
         q_var, p_var = np.diag(squeezed_vacuum(ancilla_db, axis).cov)
         for mode in ancilla_modes:
