@@ -35,6 +35,23 @@ def test_order_four_count():
     assert len(enumerate_hadamard4()) == 768
 
 
+def _full_gram_brute_force(n):
+    """Reference: every sign pattern as an (n, n) array, all Grams at once."""
+    count = 1 << (n * n)
+    bits = (np.arange(count, dtype=np.uint32)[:, None] >> np.arange(n * n)) & 1
+    signs = (1 - 2 * bits).astype(np.int16).reshape(count, n, n)
+    gram = signs @ signs.transpose(0, 2, 1)
+    ok = (gram == n * np.eye(n, dtype=np.int16)).all(axis=(1, 2))
+    return frozenset(map(tuple, signs[ok].reshape(-1, n * n).tolist()))
+
+
+@pytest.mark.parametrize("n,size", [(1, 2), (2, 8), (3, 0), (4, 768)])
+def test_enumeration_equals_full_gram_brute_force(n, size):
+    reference = _full_gram_brute_force(n)
+    assert len(reference) == size
+    assert enumerate_sign_orthogonal(n) == reference
+
+
 def test_seed_is_member():
     assert seed_matrix() in enumerate_hadamard4()
 

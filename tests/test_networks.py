@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from foursplit import networks
+from foursplit.exact import beam_splitter_matrix, ring_matmul, signs_of_halves
 from foursplit.networks import (
     SPLITTER_PAIRS,
     BsNetwork,
@@ -165,6 +166,21 @@ def test_sweep_signs_match_network_matrices():
     for indices, doubled in zip(sweep.rows, sweep.signs):
         mat = sequence_from_indices(indices).matrix()
         assert np.array_equal(mat.doubled_signs(), doubled)
+
+
+def test_balanced_signs_equal_unblocked_products():
+    # reference: every prefix stage as one stacked product, 20,736 at once
+    splitters = [beam_splitter_matrix(4, s, d) for s, d in SPLITTER_PAIRS]
+    a_parts = np.stack([sp.A for sp in splitters])
+    b_parts = np.stack([sp.B for sp in splitters])
+    acc_a, acc_b = a_parts, b_parts
+    for _ in range(3):
+        acc_a, acc_b = ring_matmul(a_parts[None], b_parts[None], acc_a[:, None], acc_b[:, None])
+        acc_a, acc_b = acc_a.reshape(-1, 4, 4), acc_b.reshape(-1, 4, 4)
+    mask, signs = signs_of_halves(acc_a, acc_b, 4 * splitters[0].m)
+    got_mask, got_signs = networks._balanced_signs()
+    assert got_mask.dtype == bool and np.array_equal(got_mask, mask)
+    assert got_signs.dtype == np.int8 and np.array_equal(got_signs, signs)
 
 
 def test_cross_check_reruns_on_cached_sweep(monkeypatch):

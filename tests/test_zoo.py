@@ -6,6 +6,7 @@ import pytest
 from foursplit import zoo
 from foursplit.exact import ExactMatrix, ExactScalar, beam_splitter_matrix
 from foursplit.zoo import (
+    ScanReport,
     architecture,
     architecture_matrix,
     architecture_names,
@@ -260,6 +261,35 @@ def test_unknown_architecture_is_not_cached():
     with pytest.raises(KeyError):
         architecture_matrix("nope")
     assert zoo._registry_matrix.cache_info().currsize <= len(FROZEN_MATRICES)
+
+
+def _one_shot_scan(residual, grid_points, random_points, tol=1e-6, seed=0):
+    """Reference: every angle vector and its conjugated residual at once."""
+    r = residual.to_float()
+    axis = -np.pi / 2 + np.pi * (np.arange(1, grid_points + 1) / grid_points)
+    grid = np.stack(np.meshgrid(axis, axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 4)
+    rng = np.random.default_rng(seed)
+    rand = rng.uniform(-np.pi / 2, np.pi / 2, size=(random_points, 4))
+    thetas = np.vstack([grid, rand])
+    uniform = np.all(np.isclose(thetas, thetas[:, :1]), axis=1)
+    conj = np.einsum("ji,nj,jk->nik", r, np.exp(2j * thetas), r)
+    off = np.abs(conj - conj * np.eye(4)[None]).max(axis=(1, 2))
+    uni_conj = r.T @ np.diag(np.exp(2j * np.full((4,), 0.37))) @ r
+    uni_off = float(np.abs(uni_conj - np.diag(np.diag(uni_conj))).max())
+    return ScanReport(
+        nontrivial_points=int((~uniform).sum()),
+        min_max_offdiagonal=float(off[~uniform].min()),
+        uniform_max_offdiagonal=max(uni_off, float(off[uniform].max(initial=0.0))),
+        tol=tol,
+    )
+
+
+@pytest.mark.parametrize("grid_points", [1, 2, 9])
+def test_scan_equals_one_shot_reference(grid_points):
+    # 2,999 random draws: no power-of-two block divides the point count
+    residual = residual_analysis("MBSL", "cMBSL").residual
+    got = no_virtual_completion_scan(residual, grid_points, random_points=2999, seed=3)
+    assert got == _one_shot_scan(residual, grid_points, random_points=2999, seed=3)
 
 
 def test_scan_grid_above_cap_rejected():
