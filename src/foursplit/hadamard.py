@@ -57,16 +57,25 @@ def enumerate_sign_orthogonal(n: int) -> frozenset[SignMatrix]:
     """All n x n sign matrices with pairwise orthogonal rows, by brute force.
 
     Sweeps all 2**(n*n) sign patterns; sizes are 2, 8, 768 for n = 1, 2, 4.
-    Limited to 1 <= n <= 4 (at most 65,536 candidates).
+    Limited to 1 <= n <= 4 (at most 65,536 candidates).  Bit k of a pattern
+    is entry k in row-major order (set bit = -1), so each pattern is n
+    indices into the 2**n sign rows, and its Gram entries are read from the
+    2**n x 2**n table of row inner products: n on the diagonal, 0 off it.
+    No pattern is expanded to a matrix until it has passed.
     """
     if not 1 <= n <= 4:
         raise ValueError(f"brute force enumeration limited to 1 <= n <= 4, got {n}")
-    count = 1 << (n * n)
-    bits = (np.arange(count, dtype=np.uint32)[:, None] >> np.arange(n * n)) & 1
-    signs = (1 - 2 * bits).astype(np.int16).reshape(count, n, n)
-    gram = signs @ signs.transpose(0, 2, 1)
-    ok = (gram == n * np.eye(n, dtype=np.int16)).all(axis=(1, 2))
-    return frozenset(map(tuple, signs[ok].reshape(-1, n * n).tolist()))
+    rows = 1 - 2 * ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)  # (2**n, n)
+    gram = (rows @ rows.T).astype(np.int8)
+    patterns = np.arange(1 << (n * n), dtype=np.uint16)
+    picks = [(patterns >> (n * i)) & ((1 << n) - 1) for i in range(n)]
+    ok = np.ones(len(patterns), dtype=bool)
+    for i in range(n):
+        ok &= gram[picks[i], picks[i]] == n
+        for k in range(i + 1, n):
+            ok &= gram[picks[i], picks[k]] == 0
+    members = rows[np.stack(picks, axis=-1)[ok]]  # (members, n, n)
+    return frozenset(map(tuple, members.reshape(-1, n * n).tolist()))
 
 
 def enumerate_hadamard4() -> frozenset[SignMatrix]:

@@ -118,27 +118,41 @@ def enumerate_candidates() -> np.ndarray:
     return np.indices((12,) * 4, dtype=np.int64).reshape(4, -1).T
 
 
+#: Three-splitter prefixes per block of the last sweep stage (12 candidates each).
+_PREFIX_BLOCK = 144
+
+
 def _balanced_signs() -> tuple[np.ndarray, np.ndarray]:
     """(mask, 2R) of every candidate in :func:`enumerate_candidates` order.
 
     Each prefix product is formed once (12 -> 144 -> 1,728 -> 20,736
     matrices): the next splitter multiplies from the left and its index
     ticks fastest, as in the odometer.  The splitters share one canonical
-    exponent m, so four-factor products sit at 4m.
+    exponent m, so four-factor products sit at 4m.  The last stage runs over
+    blocks of prefixes, each reduced to its mask and int8 2R before the next,
+    so no int64 array holds all 20,736 products.
     """
     splitters = [beam_splitter_matrix(4, s, d) for s, d in SPLITTER_PAIRS]
     (m,) = {sp.m for sp in splitters}
     a_parts, b_parts = np.stack([sp.A for sp in splitters]), np.stack([sp.B for sp in splitters])
-    acc_a, acc_b = a_parts, b_parts
-    for _ in range(3):
-        acc_a, acc_b = ring_matmul(a_parts[None], b_parts[None], acc_a[:, None], acc_b[:, None])
-        acc_a, acc_b = acc_a.reshape(-1, 4, 4), acc_b.reshape(-1, 4, 4)
-    return signs_of_halves(acc_a, acc_b, 4 * m)
+
+    def extend(acc_a: np.ndarray, acc_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        prod_a, prod_b = ring_matmul(a_parts[None], b_parts[None], acc_a[:, None], acc_b[:, None])
+        return prod_a.reshape(-1, 4, 4), prod_b.reshape(-1, 4, 4)
+
+    acc_a, acc_b = extend(*extend(a_parts, b_parts))  # (1728, 4, 4) three-splitter prefixes
+    mask = np.empty(len(acc_a) * len(splitters), dtype=bool)
+    signs = np.empty((len(mask), 4, 4), dtype=np.int8)
+    for lo in range(0, len(acc_a), _PREFIX_BLOCK):
+        hi = lo + _PREFIX_BLOCK
+        rows = slice(lo * len(splitters), hi * len(splitters))
+        mask[rows], signs[rows] = signs_of_halves(*extend(acc_a[lo:hi], acc_b[lo:hi]), 4 * m)
+    return mask, signs
 
 
 def _conditions_mask(idx: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation of the three structural conditions."""
-    pairs = np.array(SPLITTER_PAIRS, dtype=np.int64)  # (12, 2)
+    """Vectorized evaluation of the three structural conditions, in int8."""
+    pairs = np.array(SPLITTER_PAIRS, dtype=np.int8)  # (12, 2)
     seq = pairs[idx]  # (N, 4, 2)
     # c1: each mode appears exactly twice among the eight endpoints
     flat = seq.reshape(len(idx), 8)

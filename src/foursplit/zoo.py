@@ -38,9 +38,12 @@ from .networks import BsNetwork, Pair, is_balanced_foursplitter
 SQRT2_INV = 2 ** -0.5
 
 #: Largest grid of the no-virtual-completion scan, per angle: 20**4 = 160,000
-#: grid points, whose 4x4 complex conjugates take about 44 MB per array
-#: (a run at the cap peaks under 200 MB).
+#: grid points.  The scan works in blocks, so a run at the cap traces a
+#: 3.4 MB peak and ``verify appendixD --grid 20`` peaks at 41 MB RSS, most of
+#: it the interpreter and numpy; the cap bounds its time (~0.15 s).
 MAX_GRID_POINTS = 20
+#: Angle vectors per block of the scan.
+_SCAN_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -362,20 +365,33 @@ def no_virtual_completion_scan(
     all non-uniform points, and checks that uniform angles do produce a
     diagonal (the trivial global-phase case).  ``grid_points`` is limited
     to 1..:data:`MAX_GRID_POINTS`.
+
+    The angle vectors are generated and conjugated block by block; only the
+    per-point maximum off-diagonal magnitude and uniformity flag are kept
+    for all points.
     """
     if not 1 <= grid_points <= MAX_GRID_POINTS:
         raise ValueError(f"grid_points must be in 1..{MAX_GRID_POINTS}, got {grid_points}")
     r = residual.to_float()
     axis = -np.pi / 2 + np.pi * (np.arange(1, grid_points + 1) / grid_points)
-    grid = np.stack(np.meshgrid(axis, axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 4)
     rng = np.random.default_rng(seed)
     rand = rng.uniform(-np.pi / 2, np.pi / 2, size=(random_points, 4))
-    thetas = np.vstack([grid, rand])
-    uniform = np.all(np.isclose(thetas, thetas[:, :1]), axis=1)
-    phases = np.exp(2j * thetas)  # (N, 4)
-    # conj = R^T D R for every angle vector at once
-    conj = np.einsum("ji,nj,jk->nik", r, phases, r)
-    off = np.abs(conj - conj * np.eye(4)[None]).max(axis=(1, 2))
+    n_grid = grid_points**4
+    total = n_grid + random_points
+    off_diagonal = ~np.eye(4, dtype=bool)
+    off = np.empty(total)
+    uniform = np.empty(total, dtype=bool)
+    for lo in range(0, total, _SCAN_BLOCK):
+        hi = min(lo + _SCAN_BLOCK, total)
+        # grid points lo.. in row-major (meshgrid "ij") order, then the random draws
+        cells = np.unravel_index(np.arange(lo, min(hi, n_grid)), (grid_points,) * 4)
+        thetas = np.concatenate(
+            [axis[np.stack(cells, axis=-1)], rand[max(lo - n_grid, 0) : max(hi - n_grid, 0)]]
+        )
+        uniform[lo:hi] = np.all(np.isclose(thetas, thetas[:, :1]), axis=1)
+        # conj = R^T D R for every angle vector of the block
+        conj = np.einsum("ji,nj,jk->nik", r, np.exp(2j * thetas), r)
+        off[lo:hi] = np.abs(conj[:, off_diagonal]).max(axis=1)
     uni_t = np.full((4,), 0.37)
     uni_conj = r.T @ np.diag(np.exp(2j * uni_t)) @ r
     uni_off = float(np.abs(uni_conj - np.diag(np.diag(uni_conj))).max())
