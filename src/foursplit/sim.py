@@ -29,23 +29,42 @@ CONDITION_FLOOR = 1e-14
 
 
 class GaussianState:
-    """Zero-indexed internals, one-indexed mode arguments throughout."""
+    """Zero-indexed internals, one-indexed mode arguments throughout.
+
+    The state owns read-only copies of its mean and covariance, so neither
+    the caller's arrays nor later writes can change it.
+    """
 
     __slots__ = ("n_modes", "mean", "cov")
 
     def __init__(self, n_modes: int, mean: np.ndarray, cov: np.ndarray):
-        mean = np.asarray(mean, dtype=float).reshape(2 * n_modes)
+        mean = np.array(mean, dtype=float).reshape(2 * n_modes)
         cov = np.asarray(cov, dtype=float).reshape(2 * n_modes, 2 * n_modes)
         if n_modes:  # measuring out the last mode leaves a legitimate empty state
             if np.abs(cov - cov.T).max() > SYMMETRY_TOL * np.abs(cov).max(initial=1.0):
                 raise ValueError("covariance matrix is not symmetric")
             _check_uncertainty(cov)
+        self._freeze(n_modes, mean, 0.5 * (cov + cov.T))
+
+    def _freeze(self, n_modes: int, mean: np.ndarray, cov: np.ndarray) -> None:
+        mean.setflags(write=False)
+        cov.setflags(write=False)
         object.__setattr__(self, "n_modes", n_modes)
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", 0.5 * (cov + cov.T))
+        object.__setattr__(self, "cov", cov)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("GaussianState is immutable")
+
+    def displaced(self, shift: np.ndarray) -> "GaussianState":
+        """This state with its mean moved by ``shift``.
+
+        A displacement leaves the covariance as it is, so the new state
+        shares this one's read-only, already validated covariance.
+        """
+        out = object.__new__(GaussianState)
+        out._freeze(self.n_modes, (self.mean + shift).reshape(2 * self.n_modes), self.cov)
+        return out
 
     @staticmethod
     def vacuum(n_modes: int) -> "GaussianState":
@@ -103,8 +122,7 @@ def apply(op: SymplecticOp, state: GaussianState) -> GaussianState:
     if op.n_modes != state.n_modes:
         raise ValueError(f"operator acts on {op.n_modes} modes, state has {state.n_modes}")
     s = op.matrix
-    cov = s @ state.cov @ s.T
-    return GaussianState(state.n_modes, s @ state.mean + op.shift, 0.5 * (cov + cov.T))
+    return GaussianState(state.n_modes, s @ state.mean + op.shift, s @ state.cov @ s.T)
 
 
 def homodyne(
@@ -254,9 +272,7 @@ def simulate_gadget(
     processed = list(raw) if rule is None else list(rule.transform_outcomes(raw))
 
     shift = gate.displacement(raw)
-    # the output owns its arrays, and a mean shift leaves its validated
-    # covariance as it is
-    output.mean[:] -= shift
+    output = output.displaced(-shift)
     return GadgetResult(
         architecture=architecture,
         angles=tuple(float(a) for a in angles),

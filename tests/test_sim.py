@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from foursplit import gates
+from foursplit import gates, sim
 from foursplit.gates import CHI, SymplecticOp, cz, two_mode_gate
 from foursplit.sim import (
     GaussianState,
@@ -33,6 +33,28 @@ class TestGaussianState:
         state = GaussianState.vacuum(1)
         with pytest.raises(AttributeError):
             state.n_modes = 2
+
+    def test_owns_read_only_copies(self):
+        mean, cov = np.zeros(2), 0.5 * np.eye(2)
+        state = GaussianState(1, mean, cov)
+        mean[0], cov[1, 1] = 5.0, 9.0
+        assert np.array_equal(state.mean, [0.0, 0.0])
+        assert np.array_equal(state.cov, 0.5 * np.eye(2))
+        for arr in (state.mean, state.cov):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_displaced_moves_mean_without_revalidating(self, monkeypatch):
+        state = squeezed_vacuum(10.0, "q")
+        calls = []
+        monkeypatch.setattr(sim, "_check_uncertainty", lambda cov: calls.append(1))
+        moved = state.displaced(np.array([1.5, -2.0]))
+        assert not calls
+        assert np.array_equal(moved.mean, [1.5, -2.0])
+        assert moved.cov is state.cov
+        assert np.array_equal(state.mean, [0.0, 0.0])
+        with pytest.raises(ValueError):
+            moved.mean[0] = 0.0
 
     def test_mode_indices(self):
         state = GaussianState.vacuum(3)
@@ -503,3 +525,24 @@ class TestVirtualCompletionExperiments:
     def test_mbsl_cannot_be_completed(self):
         with pytest.raises(ValueError, match="kind"):
             virtual_completion_experiment("MBSL", "cMBSL", (0.5, 0.5, 0.5, 0.5), 10.0)
+
+
+@given(
+    st.sampled_from(sim.COMPLETION_CASES),
+    st.lists(st.floats(-math.pi, math.pi), min_size=4, max_size=4),
+    st.floats(3.0, 20.0),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_virtual_completion_equivalent_for_random_restricted_angles(case, angles, db, seed):
+    incomplete, completed, _ = case
+    arch, rule = gates.resolve_gate_architecture("vc" + incomplete)
+    j, k = rule.pair
+    angles[k - 1] = angles[j - 1]
+    eff = [angles[idx - 1] for idx, _ in arch.gate_slots]
+    # each V pair stays clear of equal angles mod pi, where V is undefined
+    assume(abs(math.sin(eff[0] - eff[1])) >= 0.1)
+    assume(abs(math.sin(eff[2] - eff[3])) >= 0.1)
+    exp = virtual_completion_experiment(incomplete, completed, angles, db, seed=seed)
+    assert exp.mean_deviation <= 1e-9
+    assert exp.cov_deviation <= 1e-9
