@@ -3,14 +3,17 @@
 Each sweep works through its candidates in blocks, so its traced peak stays
 a few MB whatever the candidate count: 65,536 sign patterns, 20,736
 splitter sequences, and up to 170,000 angle vectors for the scan at the
-grid cap.  Holding every candidate at once took 24, 8, 15 and 145 MB.
+grid cap.  Holding every candidate at once took 25, 8.4, 16 and 152 MB.
 """
 
 import tracemalloc
+from functools import partial
 
 import pytest
 
 from foursplit import hadamard, networks, zoo
+
+_MBSL_RESIDUAL = zoo.residual_analysis("MBSL", "cMBSL").residual
 
 
 def _traced_peak_mb(fn) -> float:
@@ -22,20 +25,15 @@ def _traced_peak_mb(fn) -> float:
         tracemalloc.stop()
 
 
-@pytest.fixture(scope="module")
-def mbsl_residual():
-    return zoo.residual_analysis("MBSL", "cMBSL").residual
-
-
 @pytest.mark.parametrize(
     "sweep,bound_mb",
     [
-        (lambda residual: hadamard.enumerate_hadamard4(), 4.0),
-        (lambda residual: networks._balanced_signs(), 4.0),
-        (lambda residual: zoo.no_virtual_completion_scan(residual), 6.0),
-        (lambda residual: zoo.no_virtual_completion_scan(residual, zoo.MAX_GRID_POINTS), 32.0),
+        (hadamard.enumerate_hadamard4, 4.0),
+        (networks._balanced_signs, 4.0),
+        (partial(zoo.no_virtual_completion_scan, _MBSL_RESIDUAL), 6.0),
+        (partial(zoo.no_virtual_completion_scan, _MBSL_RESIDUAL, zoo.MAX_GRID_POINTS), 32.0),
     ],
     ids=["enumerate_hadamard4", "balanced_signs", "scan_default", "scan_grid_cap"],
 )
-def test_sweep_traced_peak_is_bounded(mbsl_residual, sweep, bound_mb):
-    assert _traced_peak_mb(lambda: sweep(mbsl_residual)) <= bound_mb
+def test_sweep_traced_peak_is_bounded(sweep, bound_mb):
+    assert _traced_peak_mb(sweep) <= bound_mb
