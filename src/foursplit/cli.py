@@ -318,9 +318,6 @@ def _run_gate(args: argparse.Namespace) -> int:
         gate = gates.two_mode_gate(name, args.angles)
     except (ValueError, KeyError) as exc:
         return _precondition_error(exc)
-    outcome_map = np.column_stack(
-        [gate.displacement([1.0 if i == j else 0.0 for i in range(4)]) for j in range(4)]
-    )
     arch = gates.resolve_gate_architecture(name)[0]
     manifest = {
         "command": "gate",
@@ -328,7 +325,7 @@ def _run_gate(args: argparse.Namespace) -> int:
         "angles": list(gate.angles),
         "version": __version__,
         "symplectic": np.round(gate.op.matrix, 12).tolist(),
-        "displacement_map": np.round(outcome_map, 12).tolist(),
+        "displacement_map": np.round(gate.D, 12).tolist(),
         "parity_on_output": arch.parity_on_output,
         "dictionary_match": gates.dictionary_match(gate.op),
     }

@@ -17,11 +17,10 @@ displacement match what the measurement gadget actually produces.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -117,9 +116,14 @@ def identity(n_modes: int = 1) -> SymplecticOp:
     return SymplecticOp(np.eye(2 * n_modes))
 
 
-def rotation(theta: float) -> SymplecticOp:
+def _rot(theta: float) -> tuple[float, float, float, float]:
+    """The rotation matrix held row-major as a 4-tuple."""
     c, s = math.cos(theta), math.sin(theta)
-    return SymplecticOp(np.array([[c, -s], [s, c]]))
+    return (c, -s, s, c)
+
+
+def rotation(theta: float) -> SymplecticOp:
+    return SymplecticOp(np.reshape(_rot(theta), (2, 2)))
 
 
 def fourier() -> SymplecticOp:
@@ -158,11 +162,8 @@ def beam_splitter(theta: float = math.pi / 4) -> SymplecticOp:
     Acts by the rotation block [[c, -s], [s, c]] identically on the position
     and momentum pairs.
     """
-    c, s = math.cos(theta), math.sin(theta)
-    block = np.array([[c, -s], [s, c]])
     mat = np.zeros((4, 4))
-    mat[:2, :2] = block
-    mat[2:, 2:] = block
+    mat[:2, :2] = mat[2:, 2:] = np.reshape(_rot(theta), (2, 2))
     return SymplecticOp(mat)
 
 
@@ -237,27 +238,40 @@ def verify_ldu(theta: float, tol: float = 1e-12) -> bool:
 # -- the teleported single-mode gate ------------------------------------------
 
 
-def v_gate_forms(theta1: float, theta2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three equivalent factorizations of the measurement gate V.
+def _mul(a: Sequence[float], b: Sequence[float]) -> tuple[float, float, float, float]:
+    """Product of two 2x2 matrices held row-major as 4-tuples."""
+    return (
+        a[0] * b[0] + a[1] * b[2],
+        a[0] * b[1] + a[1] * b[3],
+        a[2] * b[0] + a[3] * b[2],
+        a[2] * b[1] + a[3] * b[3],
+    )
+
+
+def v_gate_forms(theta1: float, theta2: float) -> np.ndarray:
+    """The three equivalent factorizations of the measurement gate V, stacked.
 
     Rotation-squeeze-rotation, rotation-sandwiched position shear, and
-    rotation-sandwiched momentum shear.  The momentum-shear argument is
-    2 cot(theta2 - theta1): of the two printed sign variants in circulation
-    only this one agrees with the other forms under the conventions pinned by
-    :func:`verify_ldu` (it is their image under Fourier conjugation).
+    rotation-sandwiched momentum shear, each multiplied out from its 2x2
+    factors.  The momentum-shear argument is 2 cot(theta2 - theta1): of the
+    two printed sign variants in circulation only this one agrees with the
+    other forms under the conventions pinned by :func:`verify_ldu` (it is
+    their image under Fourier conjugation).
     """
     diff = theta1 - theta2
     if abs(math.sin(diff)) < SINGULAR_TOL:
         raise ValueError(
             f"gate undefined: angles {theta1} and {theta2} are equal mod pi"
         )
-    plus, minus = (theta1 + theta2) / 2, diff / 2
-    form1 = rotation(plus - math.pi / 2) @ squeeze(math.tan(minus)) @ rotation(plus)
-    g = 2.0 / math.tan(diff)
-    half = rotation(theta1 - math.pi / 2)
-    form2 = half @ shear_q(g) @ half
-    form3 = rotation(theta1 - math.pi) @ shear_p(-g) @ rotation(theta1)
-    return form1.matrix, form2.matrix, form3.matrix
+    plus, z, g = (theta1 + theta2) / 2, math.tan(diff / 2), 2.0 / math.tan(diff)
+    half = _rot(theta1 - math.pi / 2)
+    return np.array(
+        [
+            _mul(_mul(_rot(plus - math.pi / 2), (z, 0.0, 0.0, 1.0 / z)), _rot(plus)),
+            _mul(_mul(half, (1.0, 0.0, g, 1.0)), half),
+            _mul(_mul(_rot(theta1 - math.pi), (1.0, -g, 0.0, 1.0)), _rot(theta1)),
+        ]
+    ).reshape(3, 2, 2)
 
 
 def v_gate(theta1: float, theta2: float, tol: float = 1e-10) -> SymplecticOp:
@@ -268,45 +282,35 @@ def v_gate(theta1: float, theta2: float, tol: float = 1e-10) -> SymplecticOp:
     coincide mod pi; near that, where the forms drift apart by more than
     ``tol``, it raises ValueError too.
     """
-    f1, f2, f3 = v_gate_forms(theta1, theta2)
-    spread = max(np.abs(f1 - f2).max(), np.abs(f1 - f3).max())
+    forms = v_gate_forms(theta1, theta2)
+    spread = np.abs(forms[1:] - forms[0]).max()
     if spread > tol:
         raise ValueError(f"V-gate forms disagree by {spread:.3e}")
-    return SymplecticOp(f1)
+    return SymplecticOp(forms[0])
 
 
 # -- two-mode teleported gates ------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TeleportedGate:
     """The two-mode gate and displacement rule of a measurement gadget run.
 
-    ``op`` is the outcome-independent symplectic part.  ``displacement``
-    maps the four raw homodyne outcomes to the phase-space shift the gadget
-    imparts on top of ``op``; the corrective displacement is its negative.
+    ``op`` is the outcome-independent symplectic part.  ``D`` is the
+    displacement rule, a read-only linear map from the four raw homodyne
+    outcomes to the phase-space shift the gadget imparts on top of ``op``;
+    the corrective displacement is its negative.
     """
 
     architecture: str
     angles: tuple[float, float, float, float]
     op: SymplecticOp
-    displacement: Callable[[Sequence[float]], np.ndarray]
+    D: np.ndarray
 
-
-def _slot_view(arch: zoo.Architecture, angles: Sequence[float]) -> tuple[list[float], list[tuple[int, int]]]:
-    """Angles and (outcome index, sign) pairs in reference slot order."""
-    assert arch.gate_slots is not None
-    eff_angles = [angles[idx - 1] for idx, _ in arch.gate_slots]
-    outcome_map = [(idx - 1, sign) for idx, sign in arch.gate_slots]
-    return eff_angles, outcome_map
-
-
-def _pair_amplitude(theta_a: float, theta_b: float, m_a: float, m_b: float) -> complex:
-    """Outcome-dependent displacement of one teleportation rail."""
-    denom = math.sin(theta_a - theta_b)
-    if abs(denom) < SINGULAR_TOL:
-        raise ValueError("displacement undefined for equal angles mod pi")
-    return -(m_a * cmath.exp(1j * theta_b) + m_b * cmath.exp(1j * theta_a)) / denom
+    def displacement(self, outcomes: Sequence[float]) -> np.ndarray:
+        if len(outcomes) != 4:
+            raise ValueError("need exactly four outcomes")
+        return self.D @ np.asarray(outcomes, dtype=float)
 
 
 def resolve_gate_architecture(name: str) -> tuple[zoo.Architecture, zoo.VirtualCompletionRule | None]:
@@ -328,14 +332,39 @@ def resolve_gate_architecture(name: str) -> tuple[zoo.Architecture, zoo.VirtualC
     return arch, None
 
 
+#: The splitter into the V pair, mixing (1 -> 2), and the reversed one out of it.
+_B_IN = beam_splitter().matrix
+_B_OUT = (swap() @ beam_splitter() @ swap()).matrix
+#: Rail amplitudes (Re a, Im a, Re b, Im b) to the output shift (q1, q2, p1, p2).
+_RAIL_MIX = np.array([[1, 0, 1, 0], [-1, 0, 1, 0], [0, 1, 0, 1], [0, -1, 0, 1]], dtype=float)
+
+
+@functools.cache
+def _outcome_routing(name: str) -> np.ndarray:
+    """Raw outcomes to signed outcomes in slot order, after the virtual
+    completion's rewiring for vc names; computed once per name, read-only."""
+    arch, rule = resolve_gate_architecture(name)
+    route = np.zeros((4, 4))
+    for slot, (idx, sign) in enumerate(arch.gate_slots):
+        route[slot, idx - 1] = sign
+    if rule is not None:
+        route = route @ np.array([rule.transform_outcomes(e) for e in np.eye(4)]).T
+    route.setflags(write=False)
+    return route
+
+
 def two_mode_gate(name: str, angles: Sequence[float]) -> TeleportedGate:
     """The two-mode gate teleported by measuring a gadget at these angles.
 
     ``name`` is a completed architecture or a vc-prefixed virtual completion;
-    virtual completions require their equal-angle restriction and transform
-    outcomes before the displacement rule.  The gate is assembled on the two
-    output modes as splitter - local V pair - reversed splitter, with a final
-    double Fourier on output mode 2 for the architectures that carry it.
+    virtual completions require their equal-angle restriction, and their
+    displacement rule rewires the outcomes first.  The gate is assembled on
+    the two output modes as splitter - local V pair - reversed splitter,
+    with a final double Fourier on output mode 2 for the architectures that
+    carry it.  Each rail (V pair) shifts its output mode by the amplitude
+    -(m_a e^{i theta_b} + m_b e^{i theta_a}) / sin(theta_a - theta_b) of its
+    two slotted outcomes; the splitter mixes the two amplitudes.  That rule
+    is linear, so it is built once per gate as the 4x4 matrix ``D``.
     """
     if len(angles) != 4:
         raise ValueError("need exactly four measurement angles")
@@ -344,42 +373,24 @@ def two_mode_gate(name: str, angles: Sequence[float]) -> TeleportedGate:
     arch, rule = resolve_gate_architecture(name)
     if rule is not None:
         rule.check_angles(angles)
-    eff, outcome_map = _slot_view(arch, angles)
-    v1 = v_gate(eff[0], eff[1])
-    v2 = v_gate(eff[2], eff[3])
-    b_in = beam_splitter()  # mixes (1 -> 2)
-    b_out = swap() @ beam_splitter() @ swap()  # the reversed splitter (2 -> 1)
-    op = b_out @ v1.tensor(v2) @ b_in
-    if arch.parity_on_output:
-        op = double_fourier().embed(2, (2,)) @ op
-
-    angles_t = tuple(float(a) for a in angles)
-    parity = arch.parity_on_output
-
-    def displacement(outcomes: Sequence[float]) -> np.ndarray:
-        if len(outcomes) != 4:
-            raise ValueError("need exactly four outcomes")
-        raw = tuple(float(m) for m in outcomes)
-        if rule is not None:
-            raw = rule.transform_outcomes(raw)
-        slotted = [sign * raw[idx] for idx, sign in outcome_map]
-        mu_a = _pair_amplitude(eff[0], eff[1], slotted[0], slotted[1])
-        mu_b = _pair_amplitude(eff[2], eff[3], slotted[2], slotted[3])
-        nu1 = (mu_a + mu_b) / math.sqrt(2)
-        nu2 = (mu_b - mu_a) / math.sqrt(2)
-        if parity:
-            nu2 = -nu2
-        return np.array(
-            [
-                math.sqrt(2) * nu1.real,
-                math.sqrt(2) * nu2.real,
-                math.sqrt(2) * nu1.imag,
-                math.sqrt(2) * nu2.imag,
-            ]
+    eff = [angles[idx - 1] for idx, _ in arch.gate_slots]
+    local = np.zeros((4, 4))
+    local[::2, ::2] = v_gate(eff[0], eff[1]).matrix
+    local[1::2, 1::2] = v_gate(eff[2], eff[3]).matrix
+    op = _B_OUT @ local @ _B_IN
+    rails = np.zeros((4, 4))
+    for rail, (theta_a, theta_b) in enumerate((eff[:2], eff[2:])):
+        block = np.array(
+            [[math.cos(theta_b), math.cos(theta_a)], [math.sin(theta_b), math.sin(theta_a)]]
         )
-
+        rails[2 * rail : 2 * rail + 2, 2 * rail : 2 * rail + 2] = block / -math.sin(theta_a - theta_b)
+    shift = _RAIL_MIX @ rails @ _outcome_routing(name)
+    if arch.parity_on_output:
+        op[1::2] *= -1.0  # rows q2 and p2
+        shift[1::2] *= -1.0
+    shift.setflags(write=False)
     return TeleportedGate(
-        architecture=name, angles=angles_t, op=op, displacement=displacement
+        architecture=name, angles=tuple(float(a) for a in angles), op=SymplecticOp(op), D=shift
     )
 
 

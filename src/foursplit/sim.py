@@ -13,6 +13,7 @@ at the output.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -219,6 +220,15 @@ def _physical_network(name: str) -> zoo.Architecture:
     return zoo.architecture(name)
 
 
+@functools.cache
+def _gadget_network(name: str) -> np.ndarray:
+    """The two couplers, then layout ``name``'s network on modes 1-4, as one
+    read-only 12x12 symplectic matrix, built once per physical layout."""
+    net = (gates.architecture_op(name).embed(6, (1, 2, 3, 4)) @ COUPLERS).matrix
+    net.setflags(write=False)
+    return net
+
+
 def simulate_gadget(
     architecture: str,
     angles: Sequence[float],
@@ -232,9 +242,11 @@ def simulate_gadget(
 
     ``outcomes`` fixes the four homodyne results (network-mode order);
     ``None`` samples them from the measurement statistics using ``seed``.
-    The Gaussian correction displacement is applied to the output, so in
+    The Gaussian correction, minus the gate's linear displacement rule
+    ``D`` applied to the raw outcomes, is added to the output mean, so in
     the high-squeezing limit the output state is the teleported gate acting
-    on the input regardless of the outcomes.
+    on the input regardless of the outcomes.  The couplers and the network
+    act as one matrix, built once per physical layout.
     """
     gate = gates.two_mode_gate(architecture, angles)
     if outcomes is not None and len(outcomes) != 4:
@@ -260,7 +272,7 @@ def simulate_gadget(
         q_var, p_var = np.diag(squeezed_vacuum(ancilla_db, axis).cov)
         for mode in ancilla_modes:
             cov[mode - 1, mode - 1], cov[n + mode - 1, n + mode - 1] = q_var, p_var
-    net = (gates.architecture_op(physical.name).embed(n, (1, 2, 3, 4)) @ COUPLERS).matrix
+    net = _gadget_network(physical.name)
     state = GaussianState(n, net @ mean, net @ cov @ net.T)
 
     order = (4, 3, 2, 1)

@@ -98,9 +98,18 @@ def test_gate_matches_reference_composition(name, angles, outcomes):
     ref_op, ref_displacement = reference_two_mode_gate(name, angles)
     gate = two_mode_gate(name, angles)
     assert np.abs(gate.op.matrix - ref_op).max() <= 1e-12
-    probed = np.column_stack([gate.displacement(e) for e in np.eye(4)])
-    assert np.abs(probed - reference_d(ref_displacement)).max() <= 1e-12
+    assert np.abs(gate.D - reference_d(ref_displacement)).max() <= 1e-12
     assert np.abs(gate.displacement(outcomes) - ref_displacement(outcomes)).max() <= 1e-12
+
+
+def test_d_is_read_only():
+    gate = two_mode_gate("vcDBSL", (0.5, 1.2, -0.9, 0.5))
+    with pytest.raises(ValueError):
+        gate.D[0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        gate.D = np.zeros((4, 4))
+    with pytest.raises(ValueError, match="four outcomes"):
+        gate.displacement((0.0, 1.0, 2.0))
 
 
 def _manifest_angles(name):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from foursplit import gates, sim
+from foursplit import gates, sim, zoo
 from foursplit.gates import CHI, SymplecticOp, cz, two_mode_gate
 from foursplit.sim import (
     GaussianState,
@@ -546,3 +546,13 @@ def test_virtual_completion_equivalent_for_random_restricted_angles(case, angles
     exp = virtual_completion_experiment(incomplete, completed, angles, db, seed=seed)
     assert exp.mean_deviation <= 1e-9
     assert exp.cov_deviation <= 1e-9
+
+
+@pytest.mark.parametrize("name", sorted(zoo.ARCHITECTURES))
+def test_gadget_network_is_cached_read_only(name):
+    net = sim._gadget_network(name)
+    expected = gates.architecture_op(name).embed(6, (1, 2, 3, 4)) @ sim.COUPLERS
+    assert np.array_equal(net, expected.matrix)
+    assert sim._gadget_network(name) is net
+    with pytest.raises(ValueError):
+        net[0, 0] = 9.0
