@@ -364,7 +364,8 @@ def no_virtual_completion_scan(
     random draws, records the smallest maximum off-diagonal magnitude over
     all non-uniform points, and checks that uniform angles do produce a
     diagonal (the trivial global-phase case).  ``grid_points`` is limited
-    to 1..:data:`MAX_GRID_POINTS`.
+    to 1..:data:`MAX_GRID_POINTS`, ``random_points`` must be nonnegative,
+    and at least one point must be non-uniform.
 
     The angle vectors are generated and conjugated block by block; only the
     per-point maximum off-diagonal magnitude and uniformity flag are kept
@@ -372,6 +373,8 @@ def no_virtual_completion_scan(
     """
     if not 1 <= grid_points <= MAX_GRID_POINTS:
         raise ValueError(f"grid_points must be in 1..{MAX_GRID_POINTS}, got {grid_points}")
+    if random_points < 0:
+        raise ValueError(f"random_points must be nonnegative, got {random_points}")
     r = residual.to_float()
     axis = -np.pi / 2 + np.pi * (np.arange(1, grid_points + 1) / grid_points)
     rng = np.random.default_rng(seed)
@@ -392,6 +395,10 @@ def no_virtual_completion_scan(
         # conj = R^T D R for every angle vector of the block
         conj = np.einsum("ji,nj,jk->nik", r, np.exp(2j * thetas), r)
         off[lo:hi] = np.abs(conj[:, off_diagonal]).max(axis=1)
+    if uniform.all():
+        raise ValueError(
+            "no non-uniform angle vector to scan: use grid_points >= 2 or random_points >= 1"
+        )
     uni_t = np.full((4,), 0.37)
     uni_conj = r.T @ np.diag(np.exp(2j * uni_t)) @ r
     uni_off = float(np.abs(uni_conj - np.diag(np.diag(uni_conj))).max())

@@ -296,3 +296,17 @@ def test_scan_grid_above_cap_rejected():
     residual = residual_analysis("MBSL", "cMBSL").residual
     with pytest.raises(ValueError, match="grid_points"):
         no_virtual_completion_scan(residual, grid_points=zoo.MAX_GRID_POINTS + 1)
+
+
+def test_scan_negative_random_points_rejected():
+    residual = residual_analysis("MBSL", "cMBSL").residual
+    with pytest.raises(ValueError, match="random_points must be nonnegative"):
+        no_virtual_completion_scan(residual, grid_points=2, random_points=-1)
+
+
+def test_scan_without_a_non_uniform_point_rejected():
+    # the one-point grid is uniform, and no random draw is asked for
+    residual = residual_analysis("MBSL", "cMBSL").residual
+    with pytest.raises(ValueError, match="no non-uniform angle vector"):
+        no_virtual_completion_scan(residual, grid_points=1, random_points=0)
+    assert no_virtual_completion_scan(residual, grid_points=1, random_points=1).nontrivial_points == 1
