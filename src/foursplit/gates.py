@@ -374,7 +374,7 @@ def two_mode_gate(name: str, angles: Sequence[float]) -> TeleportedGate:
     if rule is not None:
         rule.check_angles(angles)
     eff = [angles[idx - 1] for idx, _ in arch.gate_slots]
-    local = np.zeros((4, 4))
+    local = np.zeros((4, 4))  # V1 on (q1, p1), V2 on (q2, p2)
     local[::2, ::2] = v_gate(eff[0], eff[1]).matrix
     local[1::2, 1::2] = v_gate(eff[2], eff[3]).matrix
     op = _B_OUT @ local @ _B_IN
@@ -383,7 +383,8 @@ def two_mode_gate(name: str, angles: Sequence[float]) -> TeleportedGate:
         block = np.array(
             [[math.cos(theta_b), math.cos(theta_a)], [math.sin(theta_b), math.sin(theta_a)]]
         )
-        rails[2 * rail : 2 * rail + 2, 2 * rail : 2 * rail + 2] = block / -math.sin(theta_a - theta_b)
+        pair = slice(2 * rail, 2 * rail + 2)
+        rails[pair, pair] = block / -math.sin(theta_a - theta_b)
     shift = _RAIL_MIX @ rails @ _outcome_routing(name)
     if arch.parity_on_output:
         op[1::2] *= -1.0  # rows q2 and p2

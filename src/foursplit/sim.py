@@ -213,13 +213,6 @@ class GadgetResult:
         }
 
 
-def _physical_network(name: str) -> zoo.Architecture:
-    """Network actually built in the lab: vc names run their incomplete base."""
-    if name.startswith("vc"):
-        return zoo.architecture(name[2:])
-    return zoo.architecture(name)
-
-
 @functools.cache
 def _gadget_network(name: str) -> np.ndarray:
     """The two couplers, then layout ``name``'s network on modes 1-4, as one
@@ -252,7 +245,6 @@ def simulate_gadget(
     if outcomes is not None and len(outcomes) != 4:
         raise ValueError(f"need exactly four outcomes, got {len(outcomes)}")
     _, rule = gates.resolve_gate_architecture(architecture)
-    physical = _physical_network(architecture)
     if input_state is None:
         input_state = GaussianState.vacuum(2)
     if input_state.n_modes != 2:
@@ -272,7 +264,8 @@ def simulate_gadget(
         q_var, p_var = np.diag(squeezed_vacuum(ancilla_db, axis).cov)
         for mode in ancilla_modes:
             cov[mode - 1, mode - 1], cov[n + mode - 1, n + mode - 1] = q_var, p_var
-    net = _gadget_network(physical.name)
+    # the network built in the lab: vc names run their incomplete base
+    net = _gadget_network(architecture[2:] if architecture.startswith("vc") else architecture)
     state = GaussianState(n, net @ mean, net @ cov @ net.T)
 
     order = (4, 3, 2, 1)
