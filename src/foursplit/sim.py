@@ -5,10 +5,19 @@ quadrature ordering ``(q_1 .. q_n, p_1 .. p_n)`` with vacuum covariance
 ``I/2``.  The gadget couples two squeezed ancilla pairs to a four-mode
 splitter network, homodynes the four network modes, and leaves the
 teleported two-mode output on the ancilla partner modes.  A run builds the
-six-mode state once, applies the couplers and the network as one symplectic
-matrix, and conditions on all four outcomes in one step; states are
-validated where they enter (the squeezed ancillas), after the network, and
-at the output.
+six-mode mean and covariance as arrays, applies the couplers and the
+network as one symplectic matrix, and conditions on all four outcomes in
+one step.
+
+Every conditioning, of :func:`homodyne`, of a gadget run and of the two
+gadgets that :func:`noise_compare` and
+:func:`virtual_completion_experiment` compare, goes through one batched
+kernel, ``_condition``.  It validates each covariance it is given (the
+state before the measurement) and each conditional covariance it returns,
+as :class:`GaussianState` validates one; the states it hands out are built
+from those without a second check.  The ancilla variances come from the
+squeezing in closed form, under the same input checks as
+:func:`squeezed_vacuum`.
 """
 
 from __future__ import annotations
@@ -41,11 +50,7 @@ class GaussianState:
     def __init__(self, n_modes: int, mean: np.ndarray, cov: np.ndarray):
         mean = np.array(mean, dtype=float).reshape(2 * n_modes)
         cov = np.asarray(cov, dtype=float).reshape(2 * n_modes, 2 * n_modes)
-        if n_modes:  # measuring out the last mode leaves a legitimate empty state
-            if np.abs(cov - cov.T).max() > SYMMETRY_TOL * np.abs(cov).max(initial=1.0):
-                raise ValueError("covariance matrix is not symmetric")
-            _check_uncertainty(cov)
-        self._freeze(n_modes, mean, 0.5 * (cov + cov.T))
+        self._freeze(n_modes, mean, _checked(cov))
 
     def _freeze(self, n_modes: int, mean: np.ndarray, cov: np.ndarray) -> None:
         mean.setflags(write=False)
@@ -63,9 +68,7 @@ class GaussianState:
         A displacement leaves the covariance as it is, so the new state
         shares this one's read-only, already validated covariance.
         """
-        out = object.__new__(GaussianState)
-        out._freeze(self.n_modes, (self.mean + shift).reshape(2 * self.n_modes), self.cov)
-        return out
+        return _state(self.n_modes, (self.mean + shift).reshape(2 * self.n_modes), self.cov)
 
     @staticmethod
     def vacuum(n_modes: int) -> "GaussianState":
@@ -81,8 +84,33 @@ class GaussianState:
         return mode - 1, self.n_modes + mode - 1
 
 
+def _state(n_modes: int, mean: np.ndarray, cov: np.ndarray) -> GaussianState:
+    """A state on arrays that are already validated: no check, no copy."""
+    out = object.__new__(GaussianState)
+    out._freeze(n_modes, mean, cov)
+    return out
+
+
+def _swap(a: np.ndarray) -> np.ndarray:
+    """Transpose of a matrix or of each matrix in a stack."""
+    return a.swapaxes(-1, -2)
+
+
+def _checked(cov: np.ndarray) -> np.ndarray:
+    """Symmetrised copy of a covariance, or of each in a stack, after
+    checking that each is symmetric and meets the uncertainty relation."""
+    if not cov.shape[-1]:  # measuring out the last mode leaves a legitimate empty state
+        return cov.copy()
+    scale = np.abs(cov).max(axis=(-2, -1), initial=1.0)
+    if (np.abs(cov - _swap(cov)).max(axis=(-2, -1)) > SYMMETRY_TOL * scale).any():
+        raise ValueError("covariance matrix is not symmetric")
+    _check_uncertainty(cov)
+    return 0.5 * (cov + _swap(cov))
+
+
 def _check_uncertainty(cov: np.ndarray) -> None:
-    """Raise unless every symplectic eigenvalue of cov is at least 1/2.
+    """Raise unless every symplectic eigenvalue of cov, or of each
+    covariance in a stack, is at least 1/2.
 
     With cov = L L^T, the symplectic eigenvalues are the moduli of the
     eigenvalues of i L^T Omega L.  The test is relative to 1/2 whatever the
@@ -94,27 +122,33 @@ def _check_uncertainty(cov: np.ndarray) -> None:
         raise ValueError(
             "covariance violates the uncertainty relation (not positive definite)"
         ) from None
-    n = cov.shape[0] // 2
-    cross = chol[:n].T @ chol[n:]  # L^T Omega L = cross - cross^T
-    least = np.abs(np.linalg.eigvalsh(1j * (cross - cross.T))).min()
-    if not least >= 0.5 * (1.0 - UNCERTAINTY_TOL):
+    n = cov.shape[-1] // 2
+    cross = _swap(chol[..., :n, :]) @ chol[..., n:, :]  # L^T Omega L = cross - cross^T
+    least = np.abs(np.linalg.eigvalsh(1j * (cross - _swap(cross)))).min(axis=-1)
+    violated = ~(least >= 0.5 * (1.0 - UNCERTAINTY_TOL))
+    if violated.any():
         raise ValueError(
             "covariance violates the uncertainty relation "
-            f"(least symplectic eigenvalue {least:.6g} < 1/2)"
+            f"(least symplectic eigenvalue {least[violated][0]:.6g} < 1/2)"
         )
 
 
-def squeezed_vacuum(db: float, axis: str) -> GaussianState:
-    """Single-mode squeezed vacuum with the squeezed-axis variance (1/2)*10^(-db/10)."""
+def _squeezed_variances(db: float) -> tuple[float, float]:
+    """The (squeezed, anti-squeezed) quadrature variances (1/2)*10^(-+db/10)."""
     if not 0 <= db < math.inf:
         raise ValueError(f"squeezing must be a finite, nonnegative dB value, got {db}")
-    if axis not in ("q", "p"):
-        raise ValueError("axis must be 'q' or 'p'")
     try:
         loose = 0.5 * 10.0 ** (db / 10.0)
     except OverflowError:
         raise ValueError(f"squeezing of {db} dB is beyond float range") from None
-    tight = 0.5 * 10.0 ** (-db / 10.0)
+    return 0.5 * 10.0 ** (-db / 10.0), loose
+
+
+def squeezed_vacuum(db: float, axis: str) -> GaussianState:
+    """Single-mode squeezed vacuum with the squeezed-axis variance (1/2)*10^(-db/10)."""
+    tight, loose = _squeezed_variances(db)
+    if axis not in ("q", "p"):
+        raise ValueError("axis must be 'q' or 'p'")
     cov = np.diag([tight, loose] if axis == "q" else [loose, tight])
     return GaussianState(1, np.zeros(2), cov)
 
@@ -124,6 +158,70 @@ def apply(op: SymplecticOp, state: GaussianState) -> GaussianState:
         raise ValueError(f"operator acts on {op.n_modes} modes, state has {state.n_modes}")
     s = op.matrix
     return GaussianState(state.n_modes, s @ state.mean + op.shift, s @ state.cov @ s.T)
+
+
+def _condition(
+    covs: np.ndarray, rows: np.ndarray, keep: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Condition a stack of states on their measured quadratures, each in
+    one Schur complement over its joint outcome marginal.
+
+    ``covs`` is a (B, N, N) stack of covariances, ``rows`` the (B, M, N)
+    measured covectors and ``keep`` the N - M quadratures that remain.
+    Each covariance, and each conditional covariance, is validated as
+    :class:`GaussianState` validates one.  Returns the (B, M, M) Cholesky
+    factors L of the outcome marginals, the (B, K, M) gains G and the
+    (B, K, K) symmetrised conditional covariances.  Outcomes x with
+    expectation e = rows @ mean move the remaining mean by G L^-1 (x - e);
+    the conditional covariance does not depend on them.  When several
+    elements are invalid, the first one's error is raised, as conditioning
+    them one at a time would.
+    """
+    try:
+        return _condition_stack(covs, rows, keep)
+    except ValueError as err:
+        error = err
+    for k in range(len(covs) - 1):
+        _condition_stack(covs[k : k + 1], rows[k : k + 1], keep)
+    raise error
+
+
+def _condition_stack(
+    covs: np.ndarray, rows: np.ndarray, keep: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_condition` on the whole stack at once."""
+    covs = _checked(covs)
+    try:
+        chol = np.linalg.cholesky(rows @ covs @ _swap(rows))
+    except np.linalg.LinAlgError:
+        chol = None
+    # the squared pivots are the variances of each outcome given the earlier ones
+    if chol is None or np.diagonal(chol, axis1=-2, axis2=-1).min() ** 2 <= CONDITION_FLOOR:
+        raise ValueError("measured quadrature variance is numerically zero")
+    gain = _swap(np.linalg.solve(chol, rows @ covs[:, :, keep]))
+    cond = covs[:, keep][:, :, keep] - gain @ _swap(gain)
+    return chol, gain, _checked(cond)
+
+
+def _outcomes(
+    chol: np.ndarray,
+    expected: np.ndarray,
+    fixed: Sequence[float] | None,
+    rng: np.random.Generator | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome values and their whitened form L^-1 (values - expected).
+
+    Fixed values are whitened; otherwise white noise is drawn from ``rng``,
+    one standard normal per outcome in order, and coloured by L, which
+    draws what measuring the quadratures one at a time in that order would.
+    """
+    if fixed is None:
+        if rng is None:
+            rng = np.random.default_rng()
+        white = rng.standard_normal(len(expected))
+        return expected + chol @ white, white
+    values = np.asarray(fixed, dtype=float)
+    return values, np.linalg.solve(chol, values - expected)
 
 
 def homodyne(
@@ -150,26 +248,10 @@ def homodyne(
         raise ValueError(f"measured modes {tuple(modes)} are not distinct")
     keep = [i for i in range(2 * state.n_modes) if i not in measured]
     rows = np.array([gates.quadrature_covector(state.n_modes, m, t) for m, t in zip(modes, thetas)])
-    try:
-        chol = np.linalg.cholesky(rows @ state.cov @ rows.T)
-    except np.linalg.LinAlgError:
-        chol = None
-    # the squared pivots are the variances of each outcome given the earlier ones
-    if chol is None or np.diag(chol).min() ** 2 <= CONDITION_FLOOR:
-        raise ValueError("measured quadrature variance is numerically zero")
-    expected = rows @ state.mean
-    if outcomes is None:
-        if rng is None:
-            rng = np.random.default_rng()
-        white = rng.standard_normal(len(modes))
-        values = expected + chol @ white
-    else:
-        values = np.asarray(outcomes, dtype=float)
-        white = np.linalg.solve(chol, values - expected)
-    gain = np.linalg.solve(chol, rows @ state.cov[:, keep]).T
+    (chol,), (gain,), (cov,) = _condition(state.cov[None], rows[None], keep)
+    values, white = _outcomes(chol, rows @ state.mean, outcomes, rng)
     mean = state.mean[keep] + gain @ white
-    cov = state.cov[np.ix_(keep, keep)] - gain @ gain.T
-    return tuple(values.tolist()), GaussianState(state.n_modes - len(modes), mean, cov)
+    return tuple(values.tolist()), _state(state.n_modes - len(modes), mean, cov)
 
 
 # Gadget layout: inputs ride modes 1 and 3; ancilla pairs (2, 5) and (4, 6)
@@ -187,6 +269,35 @@ COUPLERS = gates.beam_splitter().embed(6, ANCILLA_PAIRS[0]) @ gates.beam_splitte
 # p-then-q order is the one that teleports the identity at identity angles.
 ORIENTATIONS = {"qp": ("q", "p"), "pq": ("p", "q")}
 DEFAULT_ORIENTATION = "pq"
+
+_N = 6
+#: The network modes in the order they are measured, and so sampled.
+_MEASURED = (4, 3, 2, 1)
+#: The quadratures (q1, q3, p1, p3) that carry the two-mode input.
+_INPUTS = np.array([0, 2, _N, _N + 2])
+_INPUT_BLOCK = np.ix_(_INPUTS, _INPUTS)
+#: The quadratures (q5, q6, p5, p6) left after the measurement.
+_OUTPUTS = np.array([OUT_A - 1, OUT_B - 1, _N + OUT_A - 1, _N + OUT_B - 1])
+
+
+def _ancilla_masks(orientation: str) -> tuple[np.ndarray, np.ndarray]:
+    """Indicators of the squeezed and of the anti-squeezed ancilla
+    quadratures on the six-mode diagonal: network-side ancillas (2, 4) take
+    the orientation's first axis, output-side ones (5, 6) its second."""
+    tight, loose = np.zeros(2 * _N), np.zeros(2 * _N)
+    for ancilla_modes, axis in zip(zip(*ANCILLA_PAIRS), ORIENTATIONS[orientation]):
+        for mode in ancilla_modes:
+            q, p = mode - 1, _N + mode - 1
+            tight[q if axis == "q" else p] = loose[p if axis == "q" else q] = 1.0
+    return tight, loose
+
+
+_ANCILLA_MASKS = {orientation: _ancilla_masks(orientation) for orientation in ORIENTATIONS}
+#: The default gadget input.
+_VACUUM_INPUT = GaussianState.vacuum(2)
+#: The parity (q, p) -> (-q, -p) on output mode 2, as a read-only matrix.
+_PARITY_FLIP = gates.double_fourier().embed(2, (2,)).matrix
+_PARITY_FLIP.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -222,6 +333,37 @@ def _gadget_network(name: str) -> np.ndarray:
     return net
 
 
+def _prepare(
+    architecture: str,
+    angles: Sequence[float],
+    ancilla_db: float,
+    input_state: GaussianState | None,
+    orientation: str = DEFAULT_ORIENTATION,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check a gadget run's input, orientation and squeezing; return its
+    post-network mean and covariance (not yet validated) and its four
+    measured covectors, in measurement order."""
+    if input_state is None:
+        input_state = _VACUUM_INPUT
+    if input_state.n_modes != 2:
+        raise ValueError("gadget input must be a two-mode state")
+    if orientation not in ORIENTATIONS:
+        raise ValueError(f"unknown ancilla orientation {orientation!r}")
+    tight, loose = _squeezed_variances(ancilla_db)
+    tight_mask, loose_mask = _ANCILLA_MASKS[orientation]
+    mean = np.zeros(2 * _N)
+    mean[_INPUTS] = input_state.mean
+    cov = np.diag(tight * tight_mask + loose * loose_mask)
+    cov[_INPUT_BLOCK] = input_state.cov
+    # the network built in the lab: vc names run their incomplete base
+    net = _gadget_network(architecture[2:] if architecture.startswith("vc") else architecture)
+    rows = np.zeros((4, 2 * _N))
+    for i, mode in enumerate(_MEASURED):
+        rows[i, mode - 1] = math.sin(angles[mode - 1])
+        rows[i, _N + mode - 1] = math.cos(angles[mode - 1])
+    return net @ mean, net @ cov @ net.T, rows
+
+
 def simulate_gadget(
     architecture: str,
     angles: Sequence[float],
@@ -245,39 +387,16 @@ def simulate_gadget(
     if outcomes is not None and len(outcomes) != 4:
         raise ValueError(f"need exactly four outcomes, got {len(outcomes)}")
     _, rule = gates.resolve_gate_architecture(architecture)
-    if input_state is None:
-        input_state = GaussianState.vacuum(2)
-    if input_state.n_modes != 2:
-        raise ValueError("gadget input must be a two-mode state")
-    if orientation not in ORIENTATIONS:
-        raise ValueError(f"unknown ancilla orientation {orientation!r}")
-    net_axis, out_axis = ORIENTATIONS[orientation]
-
-    n = 6
-    inputs = [0, 2, n, n + 2]  # q1, q3, p1, p3
-    mean = np.zeros(2 * n)
-    mean[inputs] = input_state.mean
-    cov = np.zeros((2 * n, 2 * n))
-    cov[np.ix_(inputs, inputs)] = input_state.cov
-    # network-side ancillas (2, 4) take net_axis, output-side ones (5, 6) out_axis
-    for ancilla_modes, axis in zip(zip(*ANCILLA_PAIRS), (net_axis, out_axis)):
-        q_var, p_var = np.diag(squeezed_vacuum(ancilla_db, axis).cov)
-        for mode in ancilla_modes:
-            cov[mode - 1, mode - 1], cov[n + mode - 1, n + mode - 1] = q_var, p_var
-    # the network built in the lab: vc names run their incomplete base
-    net = _gadget_network(architecture[2:] if architecture.startswith("vc") else architecture)
-    state = GaussianState(n, net @ mean, net @ cov @ net.T)
-
-    order = (4, 3, 2, 1)
-    fixed = None if outcomes is None else [outcomes[m - 1] for m in order]
-    measured, output = homodyne(
-        state, order, [angles[m - 1] for m in order], fixed, np.random.default_rng(seed)
-    )
-    raw = measured[::-1]
-    processed = list(raw) if rule is None else list(rule.transform_outcomes(raw))
+    mean, cov, rows = _prepare(architecture, angles, ancilla_db, input_state, orientation)
+    (chol,), (gain,), (out_cov,) = _condition(cov[None], rows[None], _OUTPUTS)
+    if outcomes is None:
+        values, white = _outcomes(chol, rows @ mean, None, np.random.default_rng(seed))
+    else:
+        values, white = _outcomes(chol, rows @ mean, [outcomes[m - 1] for m in _MEASURED], None)
+    raw = tuple(values.tolist())[::-1]
+    processed = raw if rule is None else rule.transform_outcomes(raw)
 
     shift = gate.displacement(raw)
-    output = output.displaced(-shift)
     return GadgetResult(
         architecture=architecture,
         angles=tuple(float(a) for a in angles),
@@ -285,9 +404,27 @@ def simulate_gadget(
         raw_outcomes=raw,
         processed_outcomes=tuple(processed),
         correction=tuple((-shift).tolist()),
-        output=output,
+        output=_state(2, mean[_OUTPUTS] + gain @ white - shift, out_cov),
         gate=gate,
     )
+
+
+def _prepare_pair(
+    runs: Sequence[tuple[str, Sequence[float]]],
+    ancilla_db: float,
+    input_state: GaussianState | None,
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Check two gadget runs as :func:`simulate_gadget` checks one, each in
+    turn; return their post-network means and their stacked covariances
+    and measured covectors."""
+    means, covs, rows = [], [], []
+    for architecture, angles in runs:
+        gates.two_mode_gate(architecture, angles)  # the run's gate refusals
+        mean, cov, row = _prepare(architecture, angles, ancilla_db, input_state)
+        means.append(mean)
+        covs.append(cov)
+        rows.append(row)
+    return means, np.stack(covs), np.stack(rows)
 
 
 def noise_compare(
@@ -300,17 +437,17 @@ def noise_compare(
 ) -> float:
     """Max covariance deviation between two gadgets on the same input.
 
-    When exactly one of the two gates carries the output parity, the second
+    The output covariance does not depend on the outcomes, so both gadgets
+    are conditioned in one batched step and no outcome is drawn.  When
+    exactly one of the two gates carries the output parity, the second
     output mode of that covariance is sign-conjugated before comparing.
     """
-    res_a = simulate_gadget(arch_a, angles_a, ancilla_db, input_state, outcomes=(0.0,) * 4)
-    res_b = simulate_gadget(arch_b, angles_b, ancilla_db, input_state, outcomes=(0.0,) * 4)
-    cov_a, cov_b = res_a.output.cov, res_b.output.cov
+    _, covs, rows = _prepare_pair(((arch_a, angles_a), (arch_b, angles_b)), ancilla_db, input_state)
+    _, _, (cov_a, cov_b) = _condition(covs, rows, _OUTPUTS)
     parity_a = gates.resolve_gate_architecture(arch_a)[0].parity_on_output
     parity_b = gates.resolve_gate_architecture(arch_b)[0].parity_on_output
     if parity_a != parity_b:
-        flip = gates.double_fourier().embed(2, (2,)).matrix
-        cov_b = flip @ cov_b @ flip.T
+        cov_b = _PARITY_FLIP @ cov_b @ _PARITY_FLIP.T
     return float(np.abs(cov_a - cov_b).max())
 
 
@@ -361,29 +498,33 @@ def virtual_completion_experiment(
 
     The comparison is made on the uncorrected conditional states: outcome
     post-processing alone must make the two networks indistinguishable.
+    Both gadgets are conditioned in one batched step; the replay's mean
+    then follows from the outcomes the virtual run drew.
     """
     rule = zoo.virtual_completion(incomplete)
     if rule.completed != completed:
         raise ValueError(f"{incomplete} virtually completes to {rule.completed}, not {completed}")
     rule.check_angles(angles)
-    if input_state is None:
-        rng = np.random.default_rng(seed)
-        mean = rng.normal(0.0, 1.0, 4)
-        input_state = GaussianState(2, mean, 0.5 * np.eye(4))
+    if input_state is None:  # vacuum noise around a seeded random mean
+        input_state = _VACUUM_INPUT.displaced(np.random.default_rng(seed).normal(0.0, 1.0, 4))
 
-    virtual = simulate_gadget("vc" + incomplete, angles, ancilla_db, input_state, seed=seed)
-    replay = simulate_gadget(completed, angles, ancilla_db, input_state, outcomes=virtual.processed_outcomes)
-
-    # Undo the correction on both sides: it is outcome-convention specific.
-    mean_v = virtual.output.mean - virtual.correction
-    mean_c = replay.output.mean - replay.correction
+    (mean_v, mean_c), covs, rows = _prepare_pair(
+        (("vc" + incomplete, angles), (completed, angles)), ancilla_db, input_state
+    )
+    chol, gain, cond = _condition(covs, rows, _OUTPUTS)
+    values, white_v = _outcomes(chol[0], rows[0] @ mean_v, None, np.random.default_rng(seed))
+    processed = rule.transform_outcomes(tuple(values.tolist())[::-1])
+    replayed = [processed[m - 1] for m in _MEASURED]
+    _, white_c = _outcomes(chol[1], rows[1] @ mean_c, replayed, None)
+    out_v = mean_v[_OUTPUTS] + gain[0] @ white_v
+    out_c = mean_c[_OUTPUTS] + gain[1] @ white_c
     return CompletionExperiment(
         incomplete=incomplete,
         completed=completed,
         angles=tuple(float(a) for a in angles),
         ancilla_db=float(ancilla_db),
-        mean_deviation=float(np.abs(mean_v - mean_c).max()),
-        cov_deviation=float(np.abs(virtual.output.cov - replay.output.cov).max()),
+        mean_deviation=float(np.abs(out_v - out_c).max()),
+        cov_deviation=float(np.abs(cond[0] - cond[1]).max()),
     )
 
 

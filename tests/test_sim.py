@@ -275,6 +275,92 @@ class TestHomodyne:
             homodyne(state, (1,), (0.0,), outcomes=(0.0,))
 
 
+def _mixed_state(squeezings, mix, mean):
+    """A three-mode pure state: squeezed modes mixed by splitters and a CZ."""
+    op = gates.squeeze(squeezings[0]).tensor(gates.squeeze(squeezings[1])).tensor(
+        gates.squeeze(squeezings[2])
+    )
+    op = gates.rotation(mix[0]).embed(3, (1,)) @ op
+    op = gates.cz(mix[1]).embed(3, (1, 3)) @ gates.beam_splitter().embed(3, (2, 3)) @ op
+    return apply(op, GaussianState(3, np.array(mean), 0.5 * np.eye(6)))
+
+
+STATES = st.builds(
+    _mixed_state,
+    st.lists(st.floats(0.3, 3.0), min_size=3, max_size=3),
+    st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2),
+    st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6),
+)
+
+
+@given(
+    st.lists(STATES, min_size=1, max_size=4),
+    st.permutations((1, 2, 3)),
+    st.integers(1, 2),
+    st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_each_kernel_slice_matches_one_state_homodyne(states, order, n_measured, data):
+    modes = order[:n_measured]
+    thetas = [
+        data.draw(st.lists(st.floats(-math.pi, math.pi), min_size=n_measured, max_size=n_measured))
+        for _ in states
+    ]
+    measured = [i for mode in modes for i in states[0].mode_indices(mode)]
+    keep = [i for i in range(6) if i not in measured]
+    rows = np.array(
+        [[gates.quadrature_covector(3, m, t) for m, t in zip(modes, th)] for th in thetas]
+    )
+    chol, gain, cond = sim._condition(np.stack([s.cov for s in states]), rows, keep)
+    fixed = data.draw(st.lists(st.floats(-5.0, 5.0), min_size=n_measured, max_size=n_measured))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    for k, state in enumerate(states):
+        for outcomes, rng in ((fixed, None), (None, np.random.default_rng(seed))):
+            values, white = sim._outcomes(chol[k], rows[k] @ state.mean, outcomes, rng)
+            expected_values, expected = homodyne(
+                state, modes, thetas[k], outcomes, np.random.default_rng(seed)
+            )
+            scale = max(1.0, np.abs(state.cov).max())
+            assert np.allclose(values, expected_values, rtol=0.0, atol=1e-12 * scale)
+            mean = state.mean[keep] + gain[k] @ white
+            assert np.allclose(mean, expected.mean, rtol=0.0, atol=1e-12 * scale)
+            assert np.allclose(cond[k], expected.cov, rtol=0.0, atol=1e-12 * scale)
+
+
+class TestConditioningKernel:
+    def _stack(self, second_cov):
+        good = GaussianState.vacuum(1).cov
+        return np.stack([good, second_cov]), np.array([[[0.0, 1.0]], [[0.0, 1.0]]])
+
+    def test_invalid_second_element_refused(self):
+        covs, rows = self._stack(0.1 * np.eye(2))
+        with pytest.raises(ValueError, match=r"least symplectic eigenvalue 0\.1 < 1/2"):
+            sim._condition(covs, rows, [])
+
+    def test_asymmetric_second_element_refused(self):
+        covs, rows = self._stack(np.array([[0.5, 1e-3], [0.0, 0.5]]))
+        with pytest.raises(ValueError, match="not symmetric"):
+            sim._condition(covs, rows, [])
+
+    def test_zero_variance_second_element_refused(self):
+        covs, rows = self._stack(squeezed_vacuum(160.0, "p").cov)
+        with pytest.raises(ValueError, match="variance is numerically zero"):
+            sim._condition(covs, rows, [])
+
+    def test_earliest_invalid_element_reported(self):
+        # element 0 fails only at the measurement, element 1 already on entry:
+        # one at a time, element 0's failure comes first
+        covs = np.stack([squeezed_vacuum(160.0, "p").cov, 0.1 * np.eye(2)])
+        rows = np.array([[[0.0, 1.0]], [[0.0, 1.0]]])
+        with pytest.raises(ValueError, match="variance is numerically zero"):
+            sim._condition(covs, rows, [])
+
+    def test_stacked_uncertainty_check_names_the_failing_element(self):
+        covs = np.stack([0.5 * np.eye(2), 0.2 * np.eye(2), 0.1 * np.eye(2)])
+        with pytest.raises(ValueError, match=r"eigenvalue 0\.2 < 1/2"):
+            sim._check_uncertainty(covs)
+
+
 IDENTITY_ANGLES = (HALF_PI, 0.0, HALF_PI, 0.0)
 
 
