@@ -413,17 +413,15 @@ def _prepare_pair(
     runs: Sequence[tuple[str, Sequence[float]]],
     ancilla_db: float,
     input_state: GaussianState | None,
-) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
     """Check two gadget runs as :func:`simulate_gadget` checks one, each in
     turn; return their post-network means and their stacked covariances
     and measured covectors."""
-    means, covs, rows = [], [], []
+    prepared = []
     for architecture, angles in runs:
         gates.two_mode_gate(architecture, angles)  # the run's gate refusals
-        mean, cov, row = _prepare(architecture, angles, ancilla_db, input_state)
-        means.append(mean)
-        covs.append(cov)
-        rows.append(row)
+        prepared.append(_prepare(architecture, angles, ancilla_db, input_state))
+    means, covs, rows = zip(*prepared)
     return means, np.stack(covs), np.stack(rows)
 
 

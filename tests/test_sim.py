@@ -293,34 +293,37 @@ STATES = st.builds(
 )
 
 
+PAIR = st.lists(st.floats(-math.pi, math.pi), min_size=2, max_size=2)
+
+
 @given(
-    st.lists(STATES, min_size=1, max_size=4),
+    st.lists(st.tuples(STATES, PAIR), min_size=1, max_size=4),
     st.permutations((1, 2, 3)),
     st.integers(1, 2),
-    st.data(),
+    st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2),
+    st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=100, deadline=None)
-def test_each_kernel_slice_matches_one_state_homodyne(states, order, n_measured, data):
-    modes = order[:n_measured]
-    thetas = [
-        data.draw(st.lists(st.floats(-math.pi, math.pi), min_size=n_measured, max_size=n_measured))
-        for _ in states
-    ]
-    measured = [i for mode in modes for i in states[0].mode_indices(mode)]
+def test_each_kernel_slice_matches_one_state_homodyne(stack, order, n_measured, fixed, seed):
+    """Each element of one batched conditioning agrees with homodyne on
+    that state alone, for fixed and for seeded sampled outcomes."""
+    modes, fixed = order[:n_measured], fixed[:n_measured]
+    measured = [i for mode in modes for i in stack[0][0].mode_indices(mode)]
     keep = [i for i in range(6) if i not in measured]
     rows = np.array(
-        [[gates.quadrature_covector(3, m, t) for m, t in zip(modes, th)] for th in thetas]
+        [[gates.quadrature_covector(3, m, t) for m, t in zip(modes, thetas)] for _, thetas in stack]
     )
-    chol, gain, cond = sim._condition(np.stack([s.cov for s in states]), rows, keep)
-    fixed = data.draw(st.lists(st.floats(-5.0, 5.0), min_size=n_measured, max_size=n_measured))
-    seed = data.draw(st.integers(0, 2**32 - 1))
-    for k, state in enumerate(states):
-        for outcomes, rng in ((fixed, None), (None, np.random.default_rng(seed))):
-            values, white = sim._outcomes(chol[k], rows[k] @ state.mean, outcomes, rng)
-            expected_values, expected = homodyne(
-                state, modes, thetas[k], outcomes, np.random.default_rng(seed)
+    chol, gain, cond = sim._condition(np.stack([state.cov for state, _ in stack]), rows, keep)
+    for k, (state, thetas) in enumerate(stack):
+        thetas = thetas[:n_measured]
+        scale = max(1.0, np.abs(state.cov).max())
+        for outcomes in (fixed, None):
+            values, white = sim._outcomes(
+                chol[k], rows[k] @ state.mean, outcomes, np.random.default_rng(seed)
             )
-            scale = max(1.0, np.abs(state.cov).max())
+            expected_values, expected = homodyne(
+                state, modes, thetas, outcomes, np.random.default_rng(seed)
+            )
             assert np.allclose(values, expected_values, rtol=0.0, atol=1e-12 * scale)
             mean = state.mean[keep] + gain[k] @ white
             assert np.allclose(mean, expected.mean, rtol=0.0, atol=1e-12 * scale)
@@ -642,3 +645,11 @@ def test_gadget_network_is_cached_read_only(name):
     assert sim._gadget_network(name) is net
     with pytest.raises(ValueError):
         net[0, 0] = 9.0
+
+
+def test_gadget_constants_are_read_only():
+    assert np.array_equal(sim._PARITY_FLIP, gates.double_fourier().embed(2, (2,)).matrix)
+    assert np.array_equal(sim._VACUUM_INPUT.cov, 0.5 * np.eye(4))
+    for arr in (sim._PARITY_FLIP, sim._VACUUM_INPUT.cov):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 9.0
