@@ -1,10 +1,12 @@
-"""The noise and completion checks, pinned to their two-run reference.
+"""The noise, completion and oracle checks, pinned to their gadget-run references.
 
 ``sim.noise_compare`` and ``sim.virtual_completion_experiment`` each compare
 two gadgets.  The reference here runs them as two full ``simulate_gadget``
 calls, one after the other, and reads the compared quantities off the two
 results; the package's checks must agree with it, and must refuse every
-input the reference refuses, with the same message.
+input the reference refuses, with the same message.  The oracle,
+``sim.extracted_gate_matrix``, is pinned bit for bit to four full runs on
+validated probe states, one per unit input displacement.
 """
 
 import math
@@ -17,6 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 from foursplit import gates, sim
 from foursplit.sim import (
     GaussianState,
+    extracted_gate_matrix,
     noise_compare,
     simulate_gadget,
     virtual_completion_experiment,
@@ -223,3 +226,48 @@ DB_RUNS = {
 def test_squeezing_refusals_kept(run, db, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         run(db)
+
+
+# -- the oracle ---------------------------------------------------------------
+
+
+def reference_extracted_gate_matrix(architecture, angles, ancilla_db=60.0):
+    """The input-to-output mean map at zero outcomes as four full gadget
+    runs, each on a vacuum probe displaced by one unit vector."""
+    columns = []
+    for k in range(4):
+        mean = np.zeros(4)
+        mean[k] = 1.0
+        probe = GaussianState(2, mean, 0.5 * np.eye(4))
+        columns.append(simulate_gadget(architecture, angles, ancilla_db, probe, outcomes=(0.0,) * 4).output.mean)
+    return np.column_stack(columns)
+
+
+@given(st.sampled_from(GATE_NAMES), ANGLES, st.floats(20.0, 60.0))
+@settings(max_examples=60, deadline=None)
+def test_extracted_gate_matrix_equals_four_probe_runs(name, angles, db):
+    angles = _restricted(name, angles)
+    assert np.array_equal(extracted_gate_matrix(name, angles, db), reference_extracted_gate_matrix(name, angles, db))
+
+
+ORACLE_REFUSALS = {
+    "undefined_gate": ("QRL", (0.3, 0.3, 1.0, 2.0), 60.0),
+    "400dB": ("QRL", GOOD, 400.0),
+    "4000dB": ("QRL", GOOD, 4000.0),
+    "nan_dB": ("QRL", GOOD, math.nan),
+    "negative_dB": ("QRL", GOOD, -1.0),
+    "nan_angle": ("QRL", (math.nan, 0.3, 1.0, 2.0), 60.0),
+    "unknown_name": ("XYZ", GOOD, 60.0),
+    "vc_restriction": ("vcBSL", (0.1, 0.2, 0.3, 0.4), 60.0),
+    "three_angles": ("QRL", (0.8, -0.4, 1.1), 60.0),
+}
+
+
+@pytest.mark.parametrize("args", ORACLE_REFUSALS.values(), ids=ORACLE_REFUSALS.keys())
+def test_oracle_refusals_kept(args):
+    with pytest.raises(Exception) as expected:
+        reference_extracted_gate_matrix(*args)
+    with pytest.raises(expected.type) as refused:
+        extracted_gate_matrix(*args)
+    assert type(refused.value) is expected.type
+    assert str(refused.value) == str(expected.value)
