@@ -18,6 +18,12 @@ as :class:`GaussianState` validates one; the states it hands out are built
 from those without a second check.  The ancilla variances come from the
 squeezing in closed form, under the same input checks as
 :func:`squeezed_vacuum`.
+
+:func:`extracted_gate_matrix` builds its gate once and feeds four probes
+through the run behind :func:`simulate_gadget`.  The probes are unit
+displacements of the module's vacuum input, so they share its validated,
+read-only covariance and are not checked again; each probe run still
+validates its post-network and conditional covariances.
 """
 
 from __future__ import annotations
@@ -386,6 +392,20 @@ def simulate_gadget(
     gate = gates.two_mode_gate(architecture, angles)
     if outcomes is not None and len(outcomes) != 4:
         raise ValueError(f"need exactly four outcomes, got {len(outcomes)}")
+    return _run_gadget(gate, ancilla_db, input_state, outcomes, seed, orientation)
+
+
+def _run_gadget(
+    gate: TeleportedGate,
+    ancilla_db: float,
+    input_state: GaussianState | None,
+    outcomes: Sequence[float] | None,
+    seed: int | None,
+    orientation: str = DEFAULT_ORIENTATION,
+) -> GadgetResult:
+    """:func:`simulate_gadget` on a gate already built for its architecture
+    and angles, with ``outcomes`` None or four long."""
+    architecture, angles = gate.architecture, gate.angles
     _, rule = gates.resolve_gate_architecture(architecture)
     mean, cov, rows = _prepare(architecture, angles, ancilla_db, input_state, orientation)
     (chol,), (gain,), (out_cov,) = _condition(cov[None], rows[None], _OUTPUTS)
@@ -399,7 +419,7 @@ def simulate_gadget(
     shift = gate.displacement(raw)
     return GadgetResult(
         architecture=architecture,
-        angles=tuple(float(a) for a in angles),
+        angles=angles,
         ancilla_db=float(ancilla_db),
         raw_outcomes=raw,
         processed_outcomes=tuple(processed),
@@ -534,13 +554,15 @@ def extracted_gate_matrix(
     """Linear input-to-output mean map of the gadget at zero outcomes.
 
     In the high-squeezing limit this reproduces the teleported gate's
-    symplectic matrix column by column.
+    symplectic matrix column by column.  The gate is built, and its
+    refusals raised, once; column k is the output mean of one gadget run
+    on the vacuum input displaced by the k-th unit vector.  That probe
+    shares the module's validated vacuum covariance; each run validates
+    its own post-network and conditional covariances.
     """
-    columns = []
-    for k in range(4):
-        mean = np.zeros(4)
-        mean[k] = 1.0
-        probe = GaussianState(2, mean, 0.5 * np.eye(4))
-        res = simulate_gadget(architecture, angles, ancilla_db, probe, outcomes=(0.0,) * 4)
-        columns.append(res.output.mean)
+    gate = gates.two_mode_gate(architecture, angles)
+    columns = [
+        _run_gadget(gate, ancilla_db, _VACUUM_INPUT.displaced(unit), (0.0,) * 4, None).output.mean
+        for unit in np.eye(4)
+    ]
     return np.column_stack(columns)
