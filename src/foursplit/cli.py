@@ -1,18 +1,20 @@
 """Command-line interface: verification subjects, gate queries, gadget runs.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 violated
-precondition (restriction or singular angles).
+precondition (restriction or singular angles) or a result that is not finite.
+Every manifest is strict JSON: it never holds NaN or an infinity.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import re
 import sys
 import time
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -33,6 +35,10 @@ VERIFY_SUBJECTS = (
 )
 
 USAGE_ERROR, PRECONDITION_ERROR = 2, 3
+
+#: Largest angle magnitude accepted.  Float spacing grows with magnitude and
+#: reaches 2 near 1e16, so a much larger angle no longer pins down a phase.
+MAX_ANGLE = 1e6
 
 _PI_TOKEN = re.compile(r"^([+-]?)(\d+(?:\.\d*)?)?pi(?:/(\d+(?:\.\d*)?))?$")
 
@@ -55,6 +61,10 @@ def parse_angle(token: str) -> float:
             raise argparse.ArgumentTypeError(f"cannot parse angle {token!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"angle {token!r} is not finite")
+    if abs(value) > MAX_ANGLE:
+        raise argparse.ArgumentTypeError(
+            f"angle {token!r} exceeds {MAX_ANGLE:g} rad in magnitude and carries no usable phase"
+        )
     return value
 
 
@@ -255,8 +265,39 @@ SUBJECT_RUNNERS: dict[str, Callable[[argparse.Namespace], tuple[bool, dict]]] = 
 
 
 def _precondition_error(exc: Exception) -> int:
-    print(json.dumps({"error": str(exc)}, ensure_ascii=False))
+    print(_strict_json({"error": str(exc)}, indent=None))
     return PRECONDITION_ERROR
+
+
+def _strict_json(value: object, indent: int | None = 2) -> str:
+    """JSON text of ``value``; raises ValueError on a NaN or an infinity."""
+    return json.dumps(value, ensure_ascii=False, indent=indent, allow_nan=False)
+
+
+@contextlib.contextmanager
+def _finite_floats() -> Iterator[None]:
+    """Turn a floating-point overflow, invalid operation or division by
+    zero into a ValueError, before it can become an inf or a NaN."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ValueError(f"result is not finite: {exc}") from None
+
+
+def _print_manifest(manifest: dict, args: argparse.Namespace | None = None, code: int = 0) -> int:
+    """Print a manifest, as JSON or as CSV rows under ``--csv``, and return
+    ``code``; a manifest with a number that is not finite prints only an
+    error manifest and returns the precondition exit code."""
+    try:
+        text = _strict_json(manifest)
+    except ValueError as exc:
+        return _precondition_error(ValueError(f"result is not finite: {exc}"))
+    if getattr(args, "csv", False):
+        _emit_csv(manifest["report"])
+    else:
+        print(text)
+    return code
 
 
 def _run_verify(args: argparse.Namespace) -> int:
@@ -286,15 +327,7 @@ def _run_verify(args: argparse.Namespace) -> int:
         "elapsed_seconds": round(time.perf_counter() - start, 3),
         "report": report,
     }
-    _emit(manifest, args)
-    return 0 if passed else 1
-
-
-def _emit(manifest: dict, args: argparse.Namespace) -> None:
-    if getattr(args, "csv", False):
-        _emit_csv(manifest["report"])
-    else:
-        print(json.dumps(manifest, ensure_ascii=False, indent=2))
+    return _print_manifest(manifest, args, 0 if passed else 1)
 
 
 def _emit_csv(report: dict) -> None:
@@ -315,22 +348,21 @@ def _emit_csv(report: dict) -> None:
 def _run_gate(args: argparse.Namespace) -> int:
     name = _normalize_gate_name(args.architecture)
     try:
-        gate = gates.two_mode_gate(name, args.angles)
+        with _finite_floats():
+            gate = gates.two_mode_gate(name, args.angles)
+            manifest = {
+                "command": "gate",
+                "architecture": name,
+                "angles": list(gate.angles),
+                "version": __version__,
+                "symplectic": np.round(gate.op.matrix, 12).tolist(),
+                "displacement_map": np.round(gate.D, 12).tolist(),
+                "parity_on_output": gates.resolve_gate_architecture(name)[0].parity_on_output,
+                "dictionary_match": gates.dictionary_match(gate.op),
+            }
     except (ValueError, KeyError) as exc:
         return _precondition_error(exc)
-    arch = gates.resolve_gate_architecture(name)[0]
-    manifest = {
-        "command": "gate",
-        "architecture": name,
-        "angles": list(gate.angles),
-        "version": __version__,
-        "symplectic": np.round(gate.op.matrix, 12).tolist(),
-        "displacement_map": np.round(gate.D, 12).tolist(),
-        "parity_on_output": arch.parity_on_output,
-        "dictionary_match": gates.dictionary_match(gate.op),
-    }
-    print(json.dumps(manifest, ensure_ascii=False, indent=2))
-    return 0
+    return _print_manifest(manifest)
 
 
 def _run_simulate(args: argparse.Namespace) -> int:
@@ -338,27 +370,26 @@ def _run_simulate(args: argparse.Namespace) -> int:
     input_state = None
     if args.mean is not None:
         input_state = sim.GaussianState(2, np.asarray(args.mean), 0.5 * np.eye(4))
-    outcomes = args.outcomes
     try:
-        result = sim.simulate_gadget(
-            name,
-            args.angles,
-            args.db if args.db is not None else 10.0,
-            input_state=input_state,
-            outcomes=outcomes,
-            seed=args.seed,
-            orientation=args.orientation,
-        )
+        with _finite_floats():
+            result = sim.simulate_gadget(
+                name,
+                args.angles,
+                args.db if args.db is not None else 10.0,
+                input_state=input_state,
+                outcomes=args.outcomes,
+                seed=args.seed,
+                orientation=args.orientation,
+            )
+            manifest = {
+                "command": "simulate",
+                "version": __version__,
+                "seed": args.seed,
+                **result.to_json_dict(),
+            }
     except (ValueError, KeyError) as exc:
         return _precondition_error(exc)
-    manifest = {
-        "command": "simulate",
-        "version": __version__,
-        "seed": args.seed,
-        **result.to_json_dict(),
-    }
-    print(json.dumps(manifest, ensure_ascii=False, indent=2))
-    return 0
+    return _print_manifest(manifest)
 
 
 def _four_floats(text: str) -> list[float]:

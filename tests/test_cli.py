@@ -1,10 +1,14 @@
 """Command line interface: angle parsing, exit codes, output formats."""
 
+import contextlib
+import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from foursplit import cli
 from foursplit.cli import PRECONDITION_ERROR, USAGE_ERROR, main, parse_angle
@@ -43,12 +47,32 @@ class TestParseAngle:
         with pytest.raises(argparse.ArgumentTypeError, match="finite"):
             parse_angle(token)
 
+    @pytest.mark.parametrize("token", ["1e308", "-1e7", "1000000.5", "400000pi", "-1e300"])
+    def test_angles_without_usable_phase_rejected(self, token):
+        import argparse
+
+        with pytest.raises(argparse.ArgumentTypeError, match="no usable phase"):
+            parse_angle(token)
+
+    def test_largest_angle_accepted(self):
+        assert parse_angle("1e6") == 1e6
+        assert parse_angle("-1e6") == -1e6
+
     @pytest.mark.parametrize("token", ["pie", "pi/", "two", "", "pi/pi"])
     def test_rejected_forms(self, token):
         import argparse
 
         with pytest.raises(argparse.ArgumentTypeError, match="angle"):
             parse_angle(token)
+
+
+def strict_json(text):
+    """Parse ``text`` as JSON that holds no NaN or infinity."""
+
+    def refuse(constant):
+        raise ValueError(f"non-finite constant {constant} in the output")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def run_cli(capsys, *argv):
@@ -150,6 +174,13 @@ class TestVerifyCommand:
         code, out = run_cli(capsys, "verify", "noise", "--db", "4000")
         assert code == PRECONDITION_ERROR
         assert "float range" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize("csv", [[], ["--csv"]], ids=["json", "csv"])
+    def test_non_finite_report_prints_only_an_error(self, capsys, monkeypatch, csv):
+        monkeypatch.setitem(cli.SUBJECT_RUNNERS, "euler", lambda args: (True, {"worst": math.nan}))
+        code, out = run_cli(capsys, "verify", "euler", *csv)
+        assert code == PRECONDITION_ERROR
+        assert "not finite" in strict_json(out)["error"]
 
     def test_seed_recorded_in_parameters(self, capsys):
         code, out = run_cli(capsys, "verify", "insertion", "--seed", "42")
@@ -260,6 +291,20 @@ class TestSimulateCommand:
             main(["simulate", "QRL", "pi/2", "0", "pi/2", "0", flag, value])
         assert err.value.code == USAGE_ERROR
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--outcomes", "1e308,1e308,1e308,1e308"), ("--mean", "1e308,0,0,0")],
+        ids=["outcomes", "mean"],
+    )
+    def test_overflow_prints_only_an_error(self, capsys, flag, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(capsys, "simulate", "QRL", "0", "1", "0", "1", flag, value)
+        assert code == PRECONDITION_ERROR
+        manifest = strict_json(out)
+        assert set(manifest) == {"error"}
+        assert manifest["error"].startswith("result is not finite")
+
     def test_nan_gate_angle_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["gate", "QRL", "nan", "0", "pi/2", "0"])
@@ -287,3 +332,95 @@ class TestSubjectsEndToEnd:
         assert cli._normalize_gate_name("BSL") == "vcBSL"
         assert cli._normalize_gate_name("cBSL") == "cBSL"
         assert cli._normalize_gate_name("QRL") == "QRL"
+
+
+# -- the exit-code contract, over argv ------------------------------------------
+
+FINITE_EXTREMES = [
+    "1e308", "-1e308", "1.7976931348623157e308", "5e-324", "-5e-324", "2.2250738585072014e-308",
+    "-0.0", "0", "1e6", "-1e6", "1e16", "1e300",
+]
+JUNK = st.sampled_from(["nan", "inf", "-inf", "x", ""])
+PI_FORMS = st.builds(
+    lambda sign, coef, denom: f"{sign}{coef}pi{denom}",
+    st.sampled_from(["", "-", "+"]),
+    st.sampled_from(["", "0", "1", "3", "0.5", "2.", "318310"]),
+    st.one_of(st.just(""), st.integers(0, 64).map(lambda n: f"/{n}"), st.just("/1.5")),
+)
+EXTREME = st.one_of(st.sampled_from(FINITE_EXTREMES), st.floats(allow_nan=False, allow_infinity=False).map(repr))
+
+
+def mostly(usual, *unusual):
+    """``usual`` in about four draws of five, otherwise one of ``unusual``."""
+    return st.integers(0, 4).flatmap(lambda k: usual if k < 4 else st.one_of(*unusual))
+
+
+ANGLE = mostly(st.one_of(st.floats(-4.0, 4.0).map(repr), st.just("chi"), st.just("-chi")), PI_FORMS, EXTREME, JUNK)
+LEVEL = mostly(st.floats(0.0, 40.0).map(repr), PI_FORMS, EXTREME, JUNK)
+COUNT = st.sampled_from([4] * 8 + [3, 5])
+VECTOR = COUNT.flatmap(
+    lambda n: st.lists(mostly(st.floats(-10.0, 10.0).map(repr), EXTREME, EXTREME, JUNK), min_size=n, max_size=n)
+).map(",".join)
+SEED = st.one_of(
+    st.integers(0, 2**32).map(str),
+    st.integers(-(2**70), 2**70).map(str),
+    st.sampled_from(["-1", str(2**128), "1.5", "x"]),
+)
+GATE_NAMES = ["QRL", "cBSL", "cDBSL", "cMSG", "cMBSL", "vcBSL", "vcDBSL", "vcMSG"]
+OTHER_NAMES = ["BSL", "DBSL", "MSG", "MBSL", "vcMBSL", "XYZ"]
+#: Subjects that take milliseconds once their caches are built.
+CHEAP_SUBJECTS = ["theorem2", "census", "dictionary", "identities", "euler", "appendixD",
+                  "insertion", "noise"]
+
+
+@st.composite
+def command_lines(draw):
+    """argv for ``gate``, ``simulate`` or a cheap ``verify`` subject: mostly
+    well-formed, with finite extremes, pi forms, odd seeds and wrong counts."""
+    command = draw(st.sampled_from(["gate", "simulate", "verify"]))
+    if command == "verify":
+        options = {
+            "--seed": SEED,
+            "--db": LEVEL,
+            "--tol": mostly(st.floats(0.0, 1.0).map(repr), EXTREME, JUNK),
+            # a valid grid beyond 3 costs seconds; larger ones are refused
+            "--grid": mostly(st.sampled_from(["1", "2", "3"]), st.sampled_from(["-1", "0", "21", "1e3", "x"])),
+        }
+        chosen = draw(st.lists(st.sampled_from(sorted(options)), unique=True, max_size=4))
+        return ["verify", draw(st.sampled_from(CHEAP_SUBJECTS))] + [
+            f"{flag}={draw(options[flag])}" for flag in chosen
+        ]
+    argv = [command]
+    if command == "simulate":
+        options = {
+            "--db": LEVEL,
+            "--seed": SEED,
+            "--outcomes": VECTOR,
+            "--mean": VECTOR,
+            "--orientation": mostly(st.sampled_from(["pq", "qp"]), st.just("xy")),
+        }
+        chosen = draw(st.lists(st.sampled_from(sorted(options)), unique=True, max_size=5))
+        argv += [f"{flag}={draw(options[flag])}" for flag in chosen]
+    name = draw(st.one_of(st.sampled_from(GATE_NAMES), st.sampled_from(GATE_NAMES), st.sampled_from(OTHER_NAMES)))
+    angles = draw(COUNT.flatmap(lambda n: st.lists(ANGLE, min_size=n, max_size=n)))
+    return argv + ["--", name] + angles
+
+
+@given(command_lines())
+@example(["simulate", "--outcomes=1e308,1e308,1e308,1e308", "--", "QRL", "0", "1", "0", "1"])
+@example(["simulate", "--mean=1e308,0,0,0", "--", "QRL", "0", "1", "0", "1"])
+@example(["gate", "--", "QRL", "1e308", "0", "0", "0"])
+@settings(max_examples=150, deadline=None)
+def test_every_command_line_exits_cleanly_with_strict_json(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+    assert code in (0, 1, USAGE_ERROR, PRECONDITION_ERROR), argv
+    if code == USAGE_ERROR:
+        assert stdout.getvalue() == "", argv
+    else:
+        strict_json(stdout.getvalue())
