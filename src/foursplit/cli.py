@@ -265,13 +265,8 @@ SUBJECT_RUNNERS: dict[str, Callable[[argparse.Namespace], tuple[bool, dict]]] = 
 
 
 def _precondition_error(exc: Exception) -> int:
-    print(_strict_json({"error": str(exc)}, indent=None))
+    print(json.dumps({"error": str(exc)}, ensure_ascii=False, allow_nan=False))
     return PRECONDITION_ERROR
-
-
-def _strict_json(value: object, indent: int | None = 2) -> str:
-    """JSON text of ``value``; raises ValueError on a NaN or an infinity."""
-    return json.dumps(value, ensure_ascii=False, indent=indent, allow_nan=False)
 
 
 @contextlib.contextmanager
@@ -290,7 +285,7 @@ def _print_manifest(manifest: dict, args: argparse.Namespace | None = None, code
     ``code``; a manifest with a number that is not finite prints only an
     error manifest and returns the precondition exit code."""
     try:
-        text = _strict_json(manifest)
+        text = json.dumps(manifest, ensure_ascii=False, indent=2, allow_nan=False)
     except ValueError as exc:
         return _precondition_error(ValueError(f"result is not finite: {exc}"))
     if getattr(args, "csv", False):

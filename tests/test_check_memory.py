@@ -28,7 +28,7 @@ CHECKS = {
 CALLS = 2000
 WARMUP_CALLS = 200
 ORACLE_CALLS = 300
-ORACLE_WARMUP_CALLS = 20
+ORACLE_WARMUP_CALLS = 50
 
 
 def oracle():
