@@ -19,6 +19,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import __version__, gates, hadamard, networks, sim, zoo
+from .gates import MAX_ANGLE
 
 VERIFY_SUBJECTS = (
     "theorem1",
@@ -35,10 +36,6 @@ VERIFY_SUBJECTS = (
 )
 
 USAGE_ERROR, PRECONDITION_ERROR = 2, 3
-
-#: Largest angle magnitude accepted.  Float spacing grows with magnitude and
-#: reaches 2 near 1e16, so a much larger angle no longer pins down a phase.
-MAX_ANGLE = 1e6
 
 _PI_TOKEN = re.compile(r"^([+-]?)(\d+(?:\.\d*)?)?pi(?:/(\d+(?:\.\d*)?))?$")
 
@@ -70,7 +67,8 @@ def parse_angle(token: str) -> float:
 
 def _normalize_gate_name(name: str) -> str:
     """Bare incomplete architecture names run as their virtual completions."""
-    if name in ("BSL", "DBSL", "MSG", "MBSL"):
+    arch = zoo.ARCHITECTURES.get(name)
+    if arch is not None and arch.completed_by is not None:
         return "vc" + name
     return name
 
@@ -130,7 +128,9 @@ def _subject_census(args: argparse.Namespace) -> tuple[bool, dict]:
 def _subject_equivalences(args: argparse.Namespace) -> tuple[bool, dict]:
     reference = zoo.architecture_matrix("QRL")
     rows = []
-    for name in ("cBSL", "cDBSL", "cMSG", "cMBSL"):
+    for name in zoo.architecture_names():
+        if name == "QRL" or zoo.architecture(name).gate_slots is None:
+            continue
         preferred, solutions = zoo.qrl_decomposition(name)
         exact = preferred.apply(reference) == zoo.architecture_matrix(name)
         rows.append(

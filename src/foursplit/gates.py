@@ -33,6 +33,10 @@ SINGULAR_TOL = 1e-9
 
 CHI = math.atan(2.0)
 
+#: Largest angle magnitude accepted.  Float spacing grows with magnitude and
+#: reaches 2 near 1e16, so a much larger angle no longer pins down a phase.
+MAX_ANGLE = 1e6
+
 
 def omega(n_modes: int) -> np.ndarray:
     """Symplectic form [[0, I], [-I, 0]] in (q..., p...) ordering."""
@@ -256,13 +260,16 @@ def v_gate_forms(theta1: float, theta2: float) -> np.ndarray:
     factors.  The momentum-shear argument is 2 cot(theta2 - theta1): of the
     two printed sign variants in circulation only this one agrees with the
     other forms under the conventions pinned by :func:`verify_ldu` (it is
-    their image under Fourier conjugation).
+    their image under Fourier conjugation).  Each angle is first reduced
+    exactly into [-pi, pi] (a no-op there), so every form sees the same angle.
     """
-    diff = theta1 - theta2
+    reduced = math.remainder(theta1, math.tau), math.remainder(theta2, math.tau)
+    diff = reduced[0] - reduced[1]
     if abs(math.sin(diff)) < SINGULAR_TOL:
         raise ValueError(
             f"gate undefined: angles {theta1} and {theta2} are equal mod pi"
         )
+    theta1, theta2 = reduced
     plus, z, g = (theta1 + theta2) / 2, math.tan(diff / 2), 2.0 / math.tan(diff)
     half = _rot(theta1 - math.pi / 2)
     return np.array(
@@ -368,8 +375,11 @@ def two_mode_gate(name: str, angles: Sequence[float]) -> TeleportedGate:
     """
     if len(angles) != 4:
         raise ValueError("need exactly four measurement angles")
-    if not all(math.isfinite(a) for a in angles):
-        raise ValueError(f"measurement angles must be finite, got {list(angles)}")
+    if not all(abs(a) <= MAX_ANGLE for a in angles):  # also refuses NaN
+        raise ValueError(
+            f"measurement angles must be finite and within {MAX_ANGLE:g} rad: a larger "
+            f"angle carries no usable phase; got {list(angles)}"
+        )
     arch, rule = resolve_gate_architecture(name)
     if rule is not None:
         rule.check_angles(angles)
@@ -440,16 +450,11 @@ def _qrl_rows() -> list[dict]:
     ]
 
 
-def _inverse_gate_slots(arch: zoo.Architecture) -> tuple[int, ...]:
-    """Inverse of ``gate_slots``: entry k is the slot that reads angle k."""
-    angle_of_slot = [idx for idx, _ in arch.gate_slots]
-    return tuple(angle_of_slot.index(k) + 1 for k in range(1, len(angle_of_slot) + 1))
-
-
 #: How each virtually completed architecture reorders reference angles:
-#: entry k is the reference slot whose angle feeds gadget angle k.
+#: entry k is the reference angle that feeds gadget angle k, the row
+#: permutation of its completion's conventional decomposition.
 VC_ANGLE_MAPS: dict[str, tuple[int, ...]] = {
-    "vc" + arch.name: _inverse_gate_slots(zoo.architecture(arch.completed_by))
+    "vc" + arch.name: zoo.conventional_decomposition(arch.completed_by).row_perm
     for arch in zoo.ARCHITECTURES.values()
     if arch.virtual_pair is not None
 }

@@ -8,6 +8,11 @@ two entries of magnitude 1/sqrt(2))) and can be completed on the measurement
 side, physically or virtually; kind "b" carries the pattern in columns and
 admits no measurement-side completion.
 
+The registry's ``gate_slots`` and ``parity_on_output`` alone state how each
+completed architecture relates to QRL: its conventional decomposition (signed
+row/column operations on the QRL matrix) and each virtual completion's angle
+remap in :mod:`gates` are read off them.
+
 All matrix work here is exact; nothing in this module touches floating point
 except the virtual-completion angle scan, which is a numerical non-existence
 sweep by construction.
@@ -47,15 +52,6 @@ _SCAN_BLOCK = 2048
 
 
 @dataclass(frozen=True)
-class Completion:
-    """How a completed architecture extends its incomplete base."""
-
-    base: str
-    splitter: Pair
-    side: str  # "measurement": appended last; "state": prepended first
-
-
-@dataclass(frozen=True)
 class Architecture:
     """A named splitter sequence plus its relations to the other entries.
 
@@ -67,7 +63,6 @@ class Architecture:
 
     name: str
     sequence: tuple[Pair, ...]
-    completion: Completion | None = None
     completed_by: str | None = None
     virtual_pair: Pair | None = None
     gate_slots: tuple[tuple[int, int], ...] | None = None
@@ -103,7 +98,6 @@ _ARCH_LIST = [
     Architecture(
         name="cBSL",
         sequence=((1, 2), (3, 4), (2, 3), (1, 4)),
-        completion=Completion("BSL", (1, 4), "measurement"),
         gate_slots=((1, 1), (2, 1), (4, 1), (3, 1)),
         parity_on_output=True,
     ),
@@ -116,7 +110,6 @@ _ARCH_LIST = [
     Architecture(
         name="cDBSL",
         sequence=((1, 2), (3, 4), (3, 2), (1, 4)),
-        completion=Completion("DBSL", (1, 4), "measurement"),
         gate_slots=((1, 1), (3, -1), (4, 1), (2, 1)),
         parity_on_output=True,
     ),
@@ -129,7 +122,6 @@ _ARCH_LIST = [
     Architecture(
         name="cMSG",
         sequence=((1, 2), (3, 4), (1, 4), (2, 3)),
-        completion=Completion("MSG", (2, 3), "measurement"),
         gate_slots=((1, 1), (2, 1), (4, 1), (3, 1)),
         parity_on_output=True,
     ),
@@ -141,7 +133,6 @@ _ARCH_LIST = [
     Architecture(
         name="cMBSL",
         sequence=((1, 2), (4, 3), (3, 2), (1, 4)),
-        completion=Completion("MBSL", (1, 2), "state"),
         gate_slots=((4, 1), (3, -1), (1, 1), (2, 1)),
         parity_on_output=False,
     ),
@@ -190,42 +181,45 @@ class Decomposition:
     row_negations: tuple[int, ...]
     col_negations: tuple[int, ...]
 
-    def left_matrix(self, n: int = 4) -> ExactMatrix:
-        out = permutation_matrix(n, self.row_perm)
-        for j in self.row_negations:
-            out = negation_matrix(n, j) @ out
-        return out
-
-    def right_matrix(self, n: int = 4) -> ExactMatrix:
-        out = ExactMatrix.identity(n)
-        for j in self.col_negations:
-            out = out @ negation_matrix(n, j)
-        return out
-
     def apply(self, reference: ExactMatrix) -> ExactMatrix:
-        return self.left_matrix(reference.n) @ reference @ self.right_matrix(reference.n)
+        n = reference.n
+        left = np.eye(n, dtype=np.int64)[[p - 1 for p in self.row_perm]]
+        left[[j - 1 for j in self.row_negations]] *= -1
+        right = np.eye(n, dtype=np.int64)
+        right[[j - 1 for j in self.col_negations]] *= -1
+        return ExactMatrix.from_ints(left) @ reference @ ExactMatrix.from_ints(right)
 
 
-# Conventional decomposition per architecture: the form whose left factor is
-# the measurement-side relabeling used to derive the teleported-gate slots.
-_PREFERRED_DECOMP: dict[str, Decomposition] = {
-    "QRL": Decomposition((1, 2, 3, 4), (), ()),
-    "cBSL": Decomposition((1, 2, 4, 3), (), (4,)),
-    "cDBSL": Decomposition((1, 4, 2, 3), (3,), (4,)),
-    "cMSG": Decomposition((1, 2, 4, 3), (), (4,)),
-    "cMBSL": Decomposition((3, 4, 2, 1), (3,), ()),
-}
+def conventional_decomposition(name: str) -> Decomposition:
+    """The relation to QRL that the registry states for a completed layout.
+
+    Slot k of ``gate_slots`` feeds the same V factor in every layout, so it
+    maps QRL's slot-k row onto this layout's slot-k row, negated when the two
+    slot signs differ.  An output parity that QRL lacks (or has alone) is a
+    column negation on network input 4: input 4 is the ancilla half paired
+    with output mode 2.
+    """
+    arch, reference = architecture(name), ARCHITECTURES["QRL"]
+    if arch.gate_slots is None:
+        raise ValueError(f"{name} has no gate slots")
+    by_row = sorted(zip(arch.gate_slots, reference.gate_slots))
+    return Decomposition(
+        row_perm=tuple(ref_row for _, (ref_row, _) in by_row),
+        row_negations=tuple(row for (row, sign), (_, ref_sign) in by_row if sign != ref_sign),
+        col_negations=(4,) if arch.parity_on_output != reference.parity_on_output else (),
+    )
 
 
 def qrl_decomposition(name: str) -> tuple[Decomposition, list[Decomposition]]:
     """Express a completed architecture as signed row/column ops on QRL.
 
-    Compares all 4! * 2**4 * 2**4 = 6144 (row permutation, row negation set,
-    column negation set) combinations at once on the sign matrices 2R, and
-    returns the conventional solution first along with all solutions in that
-    nesting order (the relation is never unique: eight sign/permutation
-    redressings preserve the reference matrix).  Raises for architectures
-    whose matrix is not a balanced four-splitter, where none can exist.
+    Returns the registry's :func:`conventional_decomposition`, unverified
+    (applying it checks the registry against the exact matrices), and all
+    solutions found by comparing all 4! * 2**4 * 2**4 = 6144 (row permutation,
+    row negation set, column negation set) combinations at once on the sign
+    matrices 2R, in that nesting order (the relation is never unique: eight
+    sign/permutation redressings preserve the reference matrix).  Raises for
+    architectures whose matrix is not a balanced four-splitter.
     """
     target = architecture_matrix(name)
     if not is_balanced_foursplitter(target):
@@ -248,10 +242,7 @@ def qrl_decomposition(name: str) -> tuple[Decomposition, list[Decomposition]]:
             raise AssertionError("integer search and exact verification disagree")
     if not solutions:
         raise ValueError(f"no signed-permutation relation found for {name}")
-    preferred = _PREFERRED_DECOMP.get(name)
-    if preferred is not None and preferred in solutions:
-        return preferred, solutions
-    return solutions[0], solutions
+    return conventional_decomposition(name), solutions
 
 
 # -- incompleteness ----------------------------------------------------------

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -332,6 +333,8 @@ class TestSubjectsEndToEnd:
         assert cli._normalize_gate_name("BSL") == "vcBSL"
         assert cli._normalize_gate_name("cBSL") == "cBSL"
         assert cli._normalize_gate_name("QRL") == "QRL"
+        assert cli._normalize_gate_name("MBSL") == "vcMBSL"
+        assert cli._normalize_gate_name("XYZ") == "XYZ"
 
 
 # -- the exit-code contract, over argv ------------------------------------------
@@ -371,12 +374,17 @@ OTHER_NAMES = ["BSL", "DBSL", "MSG", "MBSL", "vcMBSL", "XYZ"]
 #: Subjects that take milliseconds once their caches are built.
 CHEAP_SUBJECTS = ["theorem2", "census", "dictionary", "identities", "euler", "appendixD",
                   "insertion", "noise"]
+#: Subjects that take tens to hundreds of milliseconds, drawn less often.
+COSTLY_SUBJECTS = ["theorem1", "all"]
+#: Tokens of a number that is not finite, as ``str`` or ``json`` writes it.
+NON_FINITE = {"nan", "inf", "-inf", "infinity", "-infinity"}
 
 
 @st.composite
 def command_lines(draw):
-    """argv for ``gate``, ``simulate`` or a cheap ``verify`` subject: mostly
-    well-formed, with finite extremes, pi forms, odd seeds and wrong counts."""
+    """argv for ``gate``, ``simulate`` or ``verify`` (a cheap subject in
+    about four draws of five, with or without ``--csv``): mostly well-formed,
+    with finite extremes, pi forms, odd seeds and wrong counts."""
     command = draw(st.sampled_from(["gate", "simulate", "verify"]))
     if command == "verify":
         options = {
@@ -387,9 +395,9 @@ def command_lines(draw):
             "--grid": mostly(st.sampled_from(["1", "2", "3"]), st.sampled_from(["-1", "0", "21", "1e3", "x"])),
         }
         chosen = draw(st.lists(st.sampled_from(sorted(options)), unique=True, max_size=4))
-        return ["verify", draw(st.sampled_from(CHEAP_SUBJECTS))] + [
-            f"{flag}={draw(options[flag])}" for flag in chosen
-        ]
+        subject = draw(mostly(st.sampled_from(CHEAP_SUBJECTS), st.sampled_from(COSTLY_SUBJECTS)))
+        csv = ["--csv"] if draw(st.booleans()) else []
+        return ["verify", subject] + csv + [f"{flag}={draw(options[flag])}" for flag in chosen]
     argv = [command]
     if command == "simulate":
         options = {
@@ -410,6 +418,7 @@ def command_lines(draw):
 @example(["simulate", "--outcomes=1e308,1e308,1e308,1e308", "--", "QRL", "0", "1", "0", "1"])
 @example(["simulate", "--mean=1e308,0,0,0", "--", "QRL", "0", "1", "0", "1"])
 @example(["gate", "--", "QRL", "1e308", "0", "0", "0"])
+@example(["verify", "all", "--csv", "--grid=2"])
 @settings(max_examples=150, deadline=None)
 def test_every_command_line_exits_cleanly_with_strict_json(argv):
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -422,5 +431,10 @@ def test_every_command_line_exits_cleanly_with_strict_json(argv):
     assert code in (0, 1, USAGE_ERROR, PRECONDITION_ERROR), argv
     if code == USAGE_ERROR:
         assert stdout.getvalue() == "", argv
+    elif "--csv" in argv and code in (0, 1):
+        rows = stdout.getvalue().splitlines()
+        assert rows and all(rows), argv
+        tokens = {t.lower() for row in rows for t in re.split(r"[\s,=:\[\]{}\"]+", row)}
+        assert not tokens & NON_FINITE, argv
     else:
         strict_json(stdout.getvalue())

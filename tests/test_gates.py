@@ -1,6 +1,7 @@
 """Symplectic gate algebra: factorizations, teleported gates, the dictionary."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -223,6 +224,36 @@ class TestVGate:
 
     def test_result_is_symplectic(self):
         assert v_gate(1.1, -0.4).is_symplectic()
+
+
+class TestLargeAngles:
+    @given(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi))
+    @settings(max_examples=300, deadline=None)
+    def test_reduction_leaves_forms_bit_identical_within_pi(self, t1, t2):
+        assume(abs(math.sin(t1 - t2)) >= gates.SINGULAR_TOL)
+        unreduced = types.SimpleNamespace(**vars(math))
+        unreduced.remainder = lambda x, y: x
+        reduced = v_gate_forms(t1, t2)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gates, "math", unreduced)
+            assert np.array_equal(v_gate_forms(t1, t2), reduced)
+
+    @pytest.mark.parametrize("scale", [1e4, 1e5, 1e6])
+    def test_large_angles_build_the_reduced_gate(self, scale):
+        # unreduced, 1, 3 and 94 of these 200 draws were refused at the three
+        # scales, because the three V forms rounded the angles differently
+        rng = np.random.default_rng(7)
+        for a, b in zip(rng.uniform(-scale, scale, 200), rng.uniform(-3.0, 3.0, 200)):
+            gate = two_mode_gate("QRL", (a, b, 0.0, 1.0))
+            same = two_mode_gate("QRL", (math.remainder(a, math.tau), b, 0.0, 1.0))
+            assert np.array_equal(gate.op.matrix, same.op.matrix)
+
+    def test_angles_beyond_max_angle_refused(self):
+        two_mode_gate("QRL", (gates.MAX_ANGLE, 0.3, 0.0, 1.0))
+        with pytest.raises(ValueError, match="no usable phase"):
+            two_mode_gate("QRL", (-1.0000001 * gates.MAX_ANGLE, 0.3, 0.0, 1.0))
+        with pytest.raises(ValueError, match="finite"):
+            two_mode_gate("QRL", (math.nan, 0.3, 0.0, 1.0))
 
 
 GATE_NAMES = ("QRL", "cBSL", "cDBSL", "cMSG", "cMBSL", "vcBSL", "vcDBSL", "vcMSG")

@@ -12,6 +12,7 @@ from foursplit.zoo import (
     architecture_names,
     bell_pair_insertion_identity,
     classify_incompleteness,
+    conventional_decomposition,
     find_mode_relabeling,
     no_virtual_completion_scan,
     qrl_decomposition,
@@ -105,6 +106,16 @@ class TestDecompositions:
         assert preferred.row_perm == (3, 4, 2, 1)
         assert preferred.row_negations == (3,)
         assert preferred.col_negations == ()
+
+    @pytest.mark.parametrize("name", ["QRL", "cBSL", "cDBSL", "cMSG", "cMBSL"])
+    def test_conventional_form_is_read_off_the_registry_and_searched(self, name):
+        preferred, solutions = qrl_decomposition(name)
+        assert preferred == conventional_decomposition(name)
+        assert preferred in solutions
+
+    def test_conventional_form_needs_gate_slots(self):
+        with pytest.raises(ValueError, match="no gate slots"):
+            conventional_decomposition("BSL")
 
     def test_qrl_decomposes_to_itself_trivially(self):
         preferred, _ = qrl_decomposition("QRL")
