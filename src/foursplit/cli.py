@@ -352,7 +352,7 @@ def _run_gate(args: argparse.Namespace) -> int:
                 "version": __version__,
                 "symplectic": np.round(gate.op.matrix, 12).tolist(),
                 "displacement_map": np.round(gate.D, 12).tolist(),
-                "parity_on_output": gates.resolve_gate_architecture(name)[0].parity_on_output,
+                "parity_on_output": gate.layout.parity_on_output,
                 "dictionary_match": gates.dictionary_match(gate.op),
             }
     except (ValueError, KeyError) as exc:

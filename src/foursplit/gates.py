@@ -1,18 +1,21 @@
 """Gaussian unitaries in symplectic form and the teleported two-mode gates.
 
-Phase-space coordinates are ordered (q_1..q_n, p_1..p_n).  A Gaussian unitary
-acts on means as x -> S x + d with S symplectic; composition follows operator
-order, so ``a @ b`` applies ``b`` first.  The convention-sensitive gates are
-pinned operationally by :func:`verify_ldu`: with rotations
-R = [[cos, -sin], [sin, cos]], the squeeze must scale position
-(S(z) = diag(z, 1/z)) and the momentum shear must add momentum to position
-(Pp(s): q -> q + s p) for both shear-squeeze-shear factorizations of a
-rotation to hold.
+Phase-space coordinates are ordered (q_1..q_n, p_1..p_n).  A unitary here is
+linear: it acts on means as x -> S x with S symplectic, and composition
+follows operator order, so ``a @ b`` applies ``b`` first.  The
+convention-sensitive gates are pinned operationally by :func:`verify_ldu`:
+with rotations R = [[cos, -sin], [sin, cos]], the squeeze must scale
+position (S(z) = diag(z, 1/z)) and the momentum shear must add momentum to
+position (Pp(s): q -> q + s p) for both shear-squeeze-shear factorizations
+of a rotation to hold.
 
 The measurement-based two-mode gate of each completed architecture is
-composed here from single-mode gates; the Gaussian simulator provides the
-independent cross-check that the composition and its outcome-dependent
-displacement match what the measurement gadget actually produces.
+composed here from single-mode gates.  Its outcome-dependent displacement is
+kept apart from the symplectic part, as the linear map
+:attr:`TeleportedGate.D` from outcomes to shift, and the gate carries the
+registry entry it was read from.  The Gaussian simulator provides the
+independent cross-check that both parts match what the measurement gadget
+actually produces.
 """
 
 from __future__ import annotations
@@ -46,35 +49,25 @@ def omega(n_modes: int) -> np.ndarray:
 
 
 class SymplecticOp:
-    """A Gaussian unitary: symplectic matrix plus phase-space shift."""
+    """A Gaussian unitary's symplectic matrix: a linear map of phase space."""
 
-    __slots__ = ("n_modes", "matrix", "shift")
+    __slots__ = ("n_modes", "matrix")
 
-    def __init__(self, matrix: np.ndarray, shift: np.ndarray | None = None):
+    def __init__(self, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] % 2:
             raise ValueError(f"bad symplectic shape {matrix.shape}")
-        n = matrix.shape[0] // 2
-        if shift is None:
-            shift = np.zeros(2 * n)
-        shift = np.asarray(shift, dtype=float)
-        if shift.shape != (2 * n,):
-            raise ValueError(f"shift shape {shift.shape} does not match {n} modes")
-        self.n_modes = n
+        self.n_modes = matrix.shape[0] // 2
         self.matrix = matrix
-        self.shift = shift
 
     def __matmul__(self, other: SymplecticOp) -> SymplecticOp:
         """Operator composition: ``self`` after ``other``."""
         if self.n_modes != other.n_modes:
             raise ValueError("mode count mismatch")
-        return SymplecticOp(
-            self.matrix @ other.matrix, self.matrix @ other.shift + self.shift
-        )
+        return SymplecticOp(self.matrix @ other.matrix)
 
     def inverse(self) -> SymplecticOp:
-        inv = np.linalg.inv(self.matrix)
-        return SymplecticOp(inv, -inv @ self.shift)
+        return SymplecticOp(np.linalg.inv(self.matrix))
 
     def embed(self, n_modes: int, modes: Sequence[int]) -> SymplecticOp:
         """Place this operator onto the given 1-based modes of a larger register."""
@@ -85,9 +78,7 @@ class SymplecticOp:
         sel = [m - 1 for m in modes] + [n_modes + m - 1 for m in modes]
         mat = np.eye(2 * n_modes)
         mat[np.ix_(sel, sel)] = self.matrix
-        shift = np.zeros(2 * n_modes)
-        shift[sel] = self.shift
-        return SymplecticOp(mat, shift)
+        return SymplecticOp(mat)
 
     def tensor(self, other: SymplecticOp) -> SymplecticOp:
         n = self.n_modes + other.n_modes
@@ -102,12 +93,7 @@ class SymplecticOp:
         )
 
     def max_deviation(self, other: SymplecticOp) -> float:
-        return float(
-            max(
-                np.abs(self.matrix - other.matrix).max(),
-                np.abs(self.shift - other.shift).max(),
-            )
-        )
+        return float(np.abs(self.matrix - other.matrix).max())
 
     def __repr__(self) -> str:
         return f"SymplecticOp(n_modes={self.n_modes})"
@@ -154,10 +140,6 @@ def squeeze(z: float) -> SymplecticOp:
     if z == 0:
         raise ValueError("squeeze parameter must be nonzero")
     return SymplecticOp(np.diag([z, 1.0 / z]))
-
-
-def displacement(dq: float, dp: float) -> SymplecticOp:
-    return SymplecticOp(np.eye(2), np.array([dq, dp]))
 
 
 def beam_splitter(theta: float = math.pi / 4) -> SymplecticOp:
@@ -306,13 +288,17 @@ class TeleportedGate:
     ``op`` is the outcome-independent symplectic part.  ``D`` is the
     displacement rule, a read-only linear map from the four raw homodyne
     outcomes to the phase-space shift the gadget imparts on top of ``op``;
-    the corrective displacement is its negative.
+    the corrective displacement is its negative.  ``layout`` is the
+    completed registry entry the gate was read from, and ``rule`` the
+    virtual completion for a vc name, else None.
     """
 
     architecture: str
     angles: tuple[float, float, float, float]
     op: SymplecticOp
     D: np.ndarray
+    layout: zoo.Architecture
+    rule: zoo.VirtualCompletionRule | None
 
     def displacement(self, outcomes: Sequence[float]) -> np.ndarray:
         if len(outcomes) != 4:
@@ -401,7 +387,12 @@ def two_mode_gate(name: str, angles: Sequence[float]) -> TeleportedGate:
         shift[1::2] *= -1.0
     shift.setflags(write=False)
     return TeleportedGate(
-        architecture=name, angles=tuple(float(a) for a in angles), op=SymplecticOp(op), D=shift
+        architecture=name,
+        angles=tuple(float(a) for a in angles),
+        op=SymplecticOp(op),
+        D=shift,
+        layout=arch,
+        rule=rule,
     )
 
 
@@ -466,11 +457,12 @@ def map_reference_angles(vc_name: str, qrl_angles: Sequence[float]) -> tuple[flo
 
 
 def mapping_compatible(vc_name: str, qrl_angles: Sequence[float], tol: float = 1e-12) -> bool:
-    """Whether the mapped angles satisfy the architecture's restriction."""
+    """Whether the mapped angles satisfy the architecture's restriction,
+    equal up to a whole turn."""
     mapped = map_reference_angles(vc_name, qrl_angles)
     rule = zoo.virtual_completion(vc_name[2:])
     j, k = rule.pair
-    return abs(mapped[j - 1] - mapped[k - 1]) <= tol
+    return abs(math.remainder(mapped[j - 1] - mapped[k - 1], math.tau)) <= tol
 
 
 def dictionary_rows() -> list[tuple[dict, str, tuple[float, ...]]]:
@@ -715,45 +707,6 @@ def quadrature_covector(n_modes: int, mode: int, theta: float) -> np.ndarray:
     v[mode - 1] = math.sin(theta)
     v[n_modes + mode - 1] = math.cos(theta)
     return v
-
-
-def measured_quadratures(net: BsNetwork, angles: Sequence[float]) -> np.ndarray:
-    """Input-space covectors measured by homodyning every mode after a network.
-
-    Row j is the functional, expressed on the network input quadratures,
-    whose value the detector on output mode j reports at angle ``angles[j]``.
-    """
-    if len(angles) != net.n_modes:
-        raise ValueError("one angle per mode required")
-    s = network_op(net).matrix
-    rows = [
-        quadrature_covector(net.n_modes, j + 1, angles[j]) @ s
-        for j in range(net.n_modes)
-    ]
-    return np.array(rows)
-
-
-def single_mode_supported(covector: np.ndarray, tol: float = 1e-12) -> bool:
-    """Whether a covector touches only one mode."""
-    n = covector.size // 2
-    weights = np.hypot(covector[:n], covector[n:])
-    return int((weights > tol).sum()) <= 1
-
-
-def splitter_removable(covectors: np.ndarray, tol: float = 1e-12) -> bool:
-    """Whether two covectors can be rewired into single-mode measurements.
-
-    True iff some invertible recombination of the two functionals is
-    supported on one mode each, which for splitter outputs happens exactly
-    when the two homodyne angles agree mod pi.
-    """
-    if covectors.shape[0] != 2:
-        raise ValueError("exactly two covectors expected")
-    n = covectors.shape[1] // 2
-    # restrict to mode 2: a combination killing these components exists iff
-    # the 2x2 block is singular; by symmetry the same holds for mode 1
-    block = covectors[:, [1, n + 1]]
-    return abs(np.linalg.det(block)) <= tol
 
 
 # -- circuit identities -------------------------------------------------------

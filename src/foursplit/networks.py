@@ -25,6 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .exact import ExactMatrix, beam_splitter_matrix, ring_matmul, signs_of_halves
+from .hadamard import sign_string
 
 Pair = tuple[int, int]
 
@@ -297,11 +298,6 @@ def canonical_form(net: BsNetwork) -> BsNetwork:
     return BsNetwork(net.n_modes, tuple(seq))
 
 
-def _sign_key(doubled: np.ndarray) -> str:
-    """Sign string of a balanced four-splitter from its 2R (entries +-1), row-major."""
-    return "".join("+" if v > 0 else "-" for v in doubled.ravel())
-
-
 @dataclass
 class CensusReport:
     """Counts from the exhaustive classification of balanced four-splitters."""
@@ -342,7 +338,7 @@ def physical_census() -> CensusReport:
     class_keys: dict[tuple[Pair, ...], str] = {}
     for indices, doubled in zip(sweep.rows, sweep.signs):
         seq = canonical_form(sequence_from_indices(indices)).sequence
-        key = _sign_key(doubled)
+        key = sign_string(doubled.ravel())  # 2R has entries +-1
         if class_keys.setdefault(seq, key) != key:
             raise AssertionError(f"members of class {seq} have different matrices")
     by_matrix: dict[str, list[tuple[Pair, ...]]] = {}

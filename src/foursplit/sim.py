@@ -7,7 +7,10 @@ splitter network, homodynes the four network modes, and leaves the
 teleported two-mode output on the ancilla partner modes.  A run builds the
 six-mode mean and covariance as arrays, applies the couplers and the
 network as one symplectic matrix, and conditions on all four outcomes in
-one step.
+one step.  Unitaries are linear (:func:`apply` maps a mean by S alone).
+Each run reads its lab network, outcome rewiring and output parity off its
+gate's ``layout`` and ``rule``, and its correction off ``gate.D``; each
+check builds each of its gates once.
 
 Every conditioning, of :func:`homodyne`, of a gadget run and of the two
 gadgets that :func:`noise_compare` and
@@ -35,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import gates, zoo
+from . import gates
 from .gates import SymplecticOp, TeleportedGate
 
 SYMMETRY_TOL = 1e-10
@@ -160,10 +163,11 @@ def squeezed_vacuum(db: float, axis: str) -> GaussianState:
 
 
 def apply(op: SymplecticOp, state: GaussianState) -> GaussianState:
+    """The state after the linear unitary ``op``: mean S x, covariance S V S^T."""
     if op.n_modes != state.n_modes:
         raise ValueError(f"operator acts on {op.n_modes} modes, state has {state.n_modes}")
     s = op.matrix
-    return GaussianState(state.n_modes, s @ state.mean + op.shift, s @ state.cov @ s.T)
+    return GaussianState(state.n_modes, s @ state.mean, s @ state.cov @ s.T)
 
 
 def _condition(
@@ -340,15 +344,14 @@ def _gadget_network(name: str) -> np.ndarray:
 
 
 def _prepare(
-    architecture: str,
-    angles: Sequence[float],
+    gate: TeleportedGate,
     ancilla_db: float,
     input_state: GaussianState | None,
     orientation: str = DEFAULT_ORIENTATION,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Check a gadget run's input, orientation and squeezing; return its
-    post-network mean and covariance (not yet validated) and its four
-    measured covectors, in measurement order."""
+    """Check the input, orientation and squeezing of a run of ``gate``'s
+    gadget; return its post-network mean and covariance (not yet validated)
+    and its four measured covectors, in measurement order."""
     if input_state is None:
         input_state = _VACUUM_INPUT
     if input_state.n_modes != 2:
@@ -361,12 +364,12 @@ def _prepare(
     mean[_INPUTS] = input_state.mean
     cov = np.diag(tight * tight_mask + loose * loose_mask)
     cov[_INPUT_BLOCK] = input_state.cov
-    # the network built in the lab: vc names run their incomplete base
-    net = _gadget_network(architecture[2:] if architecture.startswith("vc") else architecture)
+    # the network built in the lab: a virtual completion runs its incomplete layout
+    net = _gadget_network(gate.layout.name if gate.rule is None else gate.rule.incomplete)
     rows = np.zeros((4, 2 * _N))
     for i, mode in enumerate(_MEASURED):
-        rows[i, mode - 1] = math.sin(angles[mode - 1])
-        rows[i, _N + mode - 1] = math.cos(angles[mode - 1])
+        rows[i, mode - 1] = math.sin(gate.angles[mode - 1])
+        rows[i, _N + mode - 1] = math.cos(gate.angles[mode - 1])
     return net @ mean, net @ cov @ net.T, rows
 
 
@@ -405,21 +408,19 @@ def _run_gadget(
 ) -> GadgetResult:
     """:func:`simulate_gadget` on a gate already built for its architecture
     and angles, with ``outcomes`` None or four long."""
-    architecture, angles = gate.architecture, gate.angles
-    _, rule = gates.resolve_gate_architecture(architecture)
-    mean, cov, rows = _prepare(architecture, angles, ancilla_db, input_state, orientation)
+    mean, cov, rows = _prepare(gate, ancilla_db, input_state, orientation)
     (chol,), (gain,), (out_cov,) = _condition(cov[None], rows[None], _OUTPUTS)
     if outcomes is None:
         values, white = _outcomes(chol, rows @ mean, None, np.random.default_rng(seed))
     else:
         values, white = _outcomes(chol, rows @ mean, [outcomes[m - 1] for m in _MEASURED], None)
     raw = tuple(values.tolist())[::-1]
-    processed = raw if rule is None else rule.transform_outcomes(raw)
+    processed = raw if gate.rule is None else gate.rule.transform_outcomes(raw)
 
     shift = gate.displacement(raw)
     return GadgetResult(
-        architecture=architecture,
-        angles=angles,
+        architecture=gate.architecture,
+        angles=gate.angles,
         ancilla_db=float(ancilla_db),
         raw_outcomes=raw,
         processed_outcomes=tuple(processed),
@@ -427,22 +428,6 @@ def _run_gadget(
         output=_state(2, mean[_OUTPUTS] + gain @ white - shift, out_cov),
         gate=gate,
     )
-
-
-def _prepare_pair(
-    runs: Sequence[tuple[str, Sequence[float]]],
-    ancilla_db: float,
-    input_state: GaussianState | None,
-) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
-    """Check two gadget runs as :func:`simulate_gadget` checks one, each in
-    turn; return their post-network means and their stacked covariances
-    and measured covectors."""
-    prepared = []
-    for architecture, angles in runs:
-        gates.two_mode_gate(architecture, angles)  # the run's gate refusals
-        prepared.append(_prepare(architecture, angles, ancilla_db, input_state))
-    means, covs, rows = zip(*prepared)
-    return means, np.stack(covs), np.stack(rows)
 
 
 def noise_compare(
@@ -460,11 +445,12 @@ def noise_compare(
     exactly one of the two gates carries the output parity, the second
     output mode of that covariance is sign-conjugated before comparing.
     """
-    _, covs, rows = _prepare_pair(((arch_a, angles_a), (arch_b, angles_b)), ancilla_db, input_state)
-    _, _, (cov_a, cov_b) = _condition(covs, rows, _OUTPUTS)
-    parity_a = gates.resolve_gate_architecture(arch_a)[0].parity_on_output
-    parity_b = gates.resolve_gate_architecture(arch_b)[0].parity_on_output
-    if parity_a != parity_b:
+    gate_a = gates.two_mode_gate(arch_a, angles_a)
+    _, before_a, rows_a = _prepare(gate_a, ancilla_db, input_state)
+    gate_b = gates.two_mode_gate(arch_b, angles_b)
+    _, before_b, rows_b = _prepare(gate_b, ancilla_db, input_state)
+    _, _, (cov_a, cov_b) = _condition(np.stack((before_a, before_b)), np.stack((rows_a, rows_b)), _OUTPUTS)
+    if gate_a.layout.parity_on_output != gate_b.layout.parity_on_output:
         cov_b = _PARITY_FLIP @ cov_b @ _PARITY_FLIP.T
     return float(np.abs(cov_a - cov_b).max())
 
@@ -519,27 +505,26 @@ def virtual_completion_experiment(
     Both gadgets are conditioned in one batched step; the replay's mean
     then follows from the outcomes the virtual run drew.
     """
-    rule = zoo.virtual_completion(incomplete)
+    virtual = gates.two_mode_gate("vc" + incomplete, angles)
+    rule = virtual.rule
     if rule.completed != completed:
         raise ValueError(f"{incomplete} virtually completes to {rule.completed}, not {completed}")
-    rule.check_angles(angles)
     if input_state is None:  # vacuum noise around a seeded random mean
         input_state = _VACUUM_INPUT.displaced(np.random.default_rng(seed).normal(0.0, 1.0, 4))
 
-    (mean_v, mean_c), covs, rows = _prepare_pair(
-        (("vc" + incomplete, angles), (completed, angles)), ancilla_db, input_state
-    )
-    chol, gain, cond = _condition(covs, rows, _OUTPUTS)
-    values, white_v = _outcomes(chol[0], rows[0] @ mean_v, None, np.random.default_rng(seed))
+    mean_v, cov_v, rows_v = _prepare(virtual, ancilla_db, input_state)
+    mean_c, cov_c, rows_c = _prepare(gates.two_mode_gate(completed, angles), ancilla_db, input_state)
+    chol, gain, cond = _condition(np.stack((cov_v, cov_c)), np.stack((rows_v, rows_c)), _OUTPUTS)
+    values, white_v = _outcomes(chol[0], rows_v @ mean_v, None, np.random.default_rng(seed))
     processed = rule.transform_outcomes(tuple(values.tolist())[::-1])
     replayed = [processed[m - 1] for m in _MEASURED]
-    _, white_c = _outcomes(chol[1], rows[1] @ mean_c, replayed, None)
+    _, white_c = _outcomes(chol[1], rows_c @ mean_c, replayed, None)
     out_v = mean_v[_OUTPUTS] + gain[0] @ white_v
     out_c = mean_c[_OUTPUTS] + gain[1] @ white_c
     return CompletionExperiment(
         incomplete=incomplete,
         completed=completed,
-        angles=tuple(float(a) for a in angles),
+        angles=virtual.angles,
         ancilla_db=float(ancilla_db),
         mean_deviation=float(np.abs(out_v - out_c).max()),
         cov_deviation=float(np.abs(cond[0] - cond[1]).max()),

@@ -21,6 +21,7 @@ sweep by construction.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Sequence
@@ -408,10 +409,11 @@ def no_virtual_completion_scan(
 class VirtualCompletionRule:
     """Measurement-side completion by restriction and outcome rewiring.
 
-    Valid runs must measure the two ``pair`` modes at equal angles; the raw
-    outcomes on that pair are then replaced by their balanced combinations,
-    after which the statistics equal those of the physically completed
-    architecture ``completed``.
+    Valid runs must measure the two ``pair`` modes at equal angles, up to a
+    whole turn, which is the same homodyne setting; the raw outcomes on that
+    pair are then replaced by their balanced combinations, after which the
+    statistics equal those of the physically completed architecture
+    ``completed``.
     """
 
     incomplete: str
@@ -420,7 +422,7 @@ class VirtualCompletionRule:
 
     def check_angles(self, angles: Sequence[float], tol: float = 1e-12) -> None:
         j, k = self.pair
-        if abs(angles[j - 1] - angles[k - 1]) > tol:
+        if abs(math.remainder(angles[j - 1] - angles[k - 1], math.tau)) > tol:
             raise ValueError(
                 f"virtual completion of {self.incomplete} requires "
                 f"theta_{j} = theta_{k}"

@@ -15,14 +15,12 @@ from foursplit.gates import (
     beam_splitter,
     cx,
     cz,
-    displacement,
     double_fourier,
     euler_decompose,
     fourier,
     identity,
     map_reference_angles,
     mapping_compatible,
-    measured_quadratures,
     network_op,
     quadrature_covector,
     resolve_gate_architecture,
@@ -32,8 +30,6 @@ from foursplit.gates import (
     rotation,
     shear_p,
     shear_q,
-    single_mode_supported,
-    splitter_removable,
     splitter_rotation_3,
     squeeze,
     swap,
@@ -47,6 +43,30 @@ from foursplit.gates import (
 from foursplit.networks import BsNetwork
 
 HALF_PI = math.pi / 2
+
+PARAM = st.floats(-2.0, 2.0)
+ONE_MODE_GATE = st.one_of(
+    st.builds(rotation, PARAM),
+    st.builds(shear_q, PARAM),
+    st.builds(shear_p, PARAM),
+    st.builds(squeeze, st.floats(0.5, 2.0)),
+    st.just(fourier()),
+    st.just(double_fourier()),
+)
+TWO_MODE_GATE = st.one_of(
+    st.builds(beam_splitter, PARAM),
+    st.builds(cz, PARAM),
+    st.builds(cx, PARAM),
+    st.just(swap()),
+    st.builds(lambda a, b: a.tensor(b), ONE_MODE_GATE, ONE_MODE_GATE),
+)
+
+
+def _product(factors):
+    op = factors[0]
+    for factor in factors[1:]:
+        op = op @ factor
+    return op
 
 
 class TestSymplecticOp:
@@ -72,14 +92,8 @@ class TestSymplecticOp:
         combined = a @ b
         assert np.allclose(combined.matrix, a.matrix @ b.matrix)
 
-    def test_composition_chains_shifts(self):
-        d = displacement(1.0, -2.0)
-        rotated = fourier() @ d
-        # the Fourier rotates the shift along with the state
-        assert np.allclose(rotated.shift, fourier().matrix @ d.shift)
-
     def test_inverse(self):
-        op = cz(0.8) @ displacement(0.3, 0.0).tensor(identity())
+        op = cz(0.8) @ shear_p(0.3).tensor(identity())
         round_trip = op.inverse() @ op
         assert round_trip.max_deviation(identity(2)) < 1e-12
 
@@ -99,9 +113,23 @@ class TestSymplecticOp:
         with pytest.raises(ValueError, match="shape"):
             SymplecticOp(np.eye(3))
 
-    def test_rejects_mismatched_shift(self):
-        with pytest.raises(ValueError, match="shift"):
-            SymplecticOp(np.eye(4), np.zeros(3))
+    @given(
+        st.lists(ONE_MODE_GATE, min_size=1, max_size=5),
+        st.lists(TWO_MODE_GATE, min_size=1, max_size=5),
+        st.lists(TWO_MODE_GATE, min_size=1, max_size=5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_products_of_elementary_gates(self, one, two, other):
+        a, b, c = _product(one), _product(two), _product(other)
+        for op in (a, b):
+            assert op.is_symplectic(tol=1e-9)
+            assert (op.inverse() @ op).max_deviation(identity(op.n_modes)) <= 1e-9
+        joint = a.tensor(b)
+        assert joint.n_modes == 3
+        assert np.array_equal(joint.matrix, (a.embed(3, (1,)) @ b.embed(3, (2, 3))).matrix)
+        assert np.array_equal(joint.matrix, (b.embed(3, (2, 3)) @ a.embed(3, (1,))).matrix)
+        assert b.max_deviation(c) == c.max_deviation(b)
+        assert b.max_deviation(b) == 0.0
 
     def test_embed_rejects_bad_modes(self):
         with pytest.raises(ValueError):
@@ -156,11 +184,6 @@ class TestElementaryGates:
     def test_swap_exchanges_modes(self):
         mat = swap().matrix
         assert np.allclose(mat @ np.array([1.0, 0.0, 0.0, 0.0]), [0, 1, 0, 0])
-
-    def test_displacement_shift_only(self):
-        op = displacement(0.25, -1.0)
-        assert np.allclose(op.matrix, np.eye(2))
-        assert np.allclose(op.shift, [0.25, -1.0])
 
     def test_network_op_matches_exact_matrix(self):
         net = BsNetwork.of(4, [(1, 2), (3, 4), (1, 3), (2, 4)])
@@ -331,6 +354,17 @@ class TestTeleportedGates:
         rewired = ((m[0] - m[3]) / root, m[1], m[2], (m[0] + m[3]) / root)
         assert np.allclose(virtual.displacement(m), direct.displacement(rewired))
 
+    def test_vc_restriction_holds_up_to_a_whole_turn(self):
+        angles = (0.3, 1.0, 2.0, 0.3)
+        gate = two_mode_gate("vcBSL", angles)
+        turned = two_mode_gate("vcBSL", (0.3, 1.0, 2.0, 0.3 + 2 * math.pi))
+        assert turned.op.max_deviation(gate.op) <= 1e-12
+        assert np.abs(turned.D - gate.D).max() <= 1e-12
+        # the rewiring assumes equal quadratures: opposite ones (pi) are refused
+        for shift in (math.pi, 1e-6, 2 * math.pi + 1e-6):
+            with pytest.raises(ValueError, match="theta_1 = theta_4"):
+                two_mode_gate("vcBSL", (0.3, 1.0, 2.0, 0.3 + shift))
+
     def test_vc_restriction_enforced(self):
         with pytest.raises(ValueError, match="theta_2 = theta_3"):
             two_mode_gate("vcMSG", (0.1, 0.2, 0.3, 0.4))
@@ -402,6 +436,10 @@ class TestAngleMapping:
     def test_cz_row_compatibility_pattern(self):
         cz_angles = (HALF_PI, HALF_PI + CHI, HALF_PI, HALF_PI - CHI)
         assert mapping_compatible("vcBSL", cz_angles)
+        turned = (cz_angles[0] + 2 * math.pi,) + tuple(cz_angles[1:])
+        assert mapping_compatible("vcBSL", turned)
+        half_turned = (cz_angles[0] + math.pi,) + tuple(cz_angles[1:])
+        assert not mapping_compatible("vcBSL", half_turned)
         assert mapping_compatible("vcDBSL", cz_angles)
         assert not mapping_compatible("vcMSG", cz_angles)
 
@@ -537,28 +575,6 @@ class TestMeasurementCovectors:
         v = quadrature_covector(1, 1, 0.0)
         assert np.allclose(v, [0.0, 1.0])
 
-    def test_measured_quadratures_shape(self):
-        net = BsNetwork.of(2, [(1, 2)])
-        rows = measured_quadratures(net, (0.4, -0.2))
-        assert rows.shape == (2, 4)
-
-    def test_single_mode_support_detection(self):
-        assert single_mode_supported(quadrature_covector(3, 2, 1.2))
-        net = BsNetwork.of(2, [(1, 2)])
-        rows = measured_quadratures(net, (0.4, -0.2))
-        assert not single_mode_supported(rows[0])
-
-    def test_splitter_removable_iff_equal_angles(self):
-        net = BsNetwork.of(2, [(1, 2)])
-        assert splitter_removable(measured_quadratures(net, (0.7, 0.7)))
-        assert splitter_removable(measured_quadratures(net, (0.7, 0.7 - math.pi)))
-        assert not splitter_removable(measured_quadratures(net, (0.7, 0.2)))
-
-    def test_angle_count_enforced(self):
-        net = BsNetwork.of(2, [(1, 2)])
-        with pytest.raises(ValueError, match="angle"):
-            measured_quadratures(net, (0.4,))
-
 
 class TestCircuitIdentities:
     @pytest.fixture
@@ -599,12 +615,10 @@ def test_architecture_op_is_cached_and_fresh(name):
     assert np.array_equal(op.matrix, expected)
     with pytest.raises(ValueError):
         op.matrix[0, 0] = 9.0
-    op.shift[:] = 5.0
     op.matrix = np.zeros((8, 8))
     later = gates.architecture_op(name)
     assert later is not op
     assert np.array_equal(later.matrix, expected)
-    assert not later.shift.any()
 
 
 def test_v_gate_disagreement_is_value_error():

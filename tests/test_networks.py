@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from foursplit import networks
 from foursplit.exact import beam_splitter_matrix, ring_matmul, signs_of_halves
+from foursplit.hadamard import sign_string
 from foursplit.networks import (
     SPLITTER_PAIRS,
     BsNetwork,
@@ -215,4 +216,4 @@ def test_census_keys_match_class_matrices():
     classes = [(key, seq) for key, seqs in census.representatives.items() for seq in seqs]
     assert len(classes) == 96
     for key, seq in classes:
-        assert key == networks._sign_key(BsNetwork(4, seq).matrix().doubled_signs()), seq
+        assert key == sign_string(BsNetwork(4, seq).matrix().doubled_signs().ravel()), seq

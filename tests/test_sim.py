@@ -169,16 +169,17 @@ class TestSqueezedVacuum:
 
 
 class TestApply:
+    def test_mean_maps_by_the_matrix(self):
+        state = GaussianState.vacuum(2).displaced(np.array([1.5, -0.5, 0.25, 2.0]))
+        op = gates.cz(0.7) @ gates.beam_splitter(0.3)
+        moved = apply(op, state)
+        assert np.array_equal(moved.mean, op.matrix @ state.mean)
+        assert np.allclose(moved.cov, op.matrix @ state.cov @ op.matrix.T)
+
     def test_rotation_leaves_vacuum_invariant(self):
         state = GaussianState.vacuum(1)
         rotated = apply(gates.rotation(0.7), state)
         assert np.allclose(rotated.cov, state.cov)
-
-    def test_displacement_moves_mean_only(self):
-        state = GaussianState.vacuum(1)
-        moved = apply(gates.displacement(1.5, -0.5), state)
-        assert np.allclose(moved.mean, [1.5, -0.5])
-        assert np.allclose(moved.cov, state.cov)
 
     def test_purity_preserved(self):
         state = squeezed_vacuum(8.0, "q")
@@ -606,6 +607,14 @@ class TestVirtualCompletionExperiments:
     def test_restriction_enforced(self):
         with pytest.raises(ValueError, match="theta_1 = theta_4"):
             virtual_completion_experiment("BSL", "cBSL", (0.1, 0.2, 0.3, 0.4), 10.0)
+
+    def test_restriction_holds_up_to_a_whole_turn(self):
+        exp = virtual_completion_experiment("BSL", "cBSL", (0.3, 1.0, 2.0, 0.3 + 2 * math.pi), 10.0)
+        assert exp.mean_deviation <= 1e-9
+        assert exp.cov_deviation <= 1e-9
+        for shift in (math.pi, 1e-6):
+            with pytest.raises(ValueError, match="theta_1 = theta_4"):
+                virtual_completion_experiment("BSL", "cBSL", (0.3, 1.0, 2.0, 0.3 + shift), 10.0)
 
     def test_wrong_completion_target_rejected(self):
         with pytest.raises(ValueError, match="completes to"):
