@@ -78,11 +78,12 @@ def _normalize_gate_name(name: str) -> str:
 
 def _subject_theorem1(args: argparse.Namespace) -> tuple[bool, dict]:
     enumerated = hadamard.enumerate_hadamard4()
-    even = sum(1 for h in enumerated if hadamard.class_parity(h) == 0)
+    members = sorted(enumerated)
+    parities = hadamard.class_parities(np.array(members, dtype=np.int8).reshape(-1, 4, 4))
+    even = int((parities == 0).sum())
     odd = len(enumerated) - even
     generated = hadamard.generate_class()
     rng = np.random.default_rng(args.seed)
-    members = sorted(enumerated)
     seeds_ok = True
     for idx in rng.choice(len(members), size=10, replace=False):
         if hadamard.generate_class(seed=members[idx]) != enumerated:
@@ -206,31 +207,19 @@ def _subject_insertion(args: argparse.Namespace) -> tuple[bool, dict]:
 def _subject_noise(args: argparse.Namespace) -> tuple[bool, dict]:
     db = args.db if args.db is not None else 10.0
     tol = args.tol if args.tol is not None else 1e-9
-    rows = []
-    worst = 0.0
-    for row, arch, angles in gates.dictionary_rows():
-        if arch == "QRL":
-            continue
-        dev = sim.noise_compare("QRL", row["angles"], arch, angles, db)
-        worst = max(worst, dev)
-        rows.append(
-            {
-                "gate": row["gate"],
-                "pair": ["QRL", arch],
-                "db": db,
-                "deviation": dev,
-                "pass": dev <= tol,
-            }
-        )
-    completions = []
-    for incomplete, completed, angles in sim.COMPLETION_CASES:
-        rep = sim.virtual_completion_experiment(incomplete, completed, angles, db, seed=args.seed)
-        completions.append(
-            {
-                **rep.to_json_dict(),
-                "pass": rep.mean_deviation <= tol and rep.cov_deviation <= tol,
-            }
-        )
+    mapped = [(row, arch, angles) for row, arch, angles in gates.dictionary_rows() if arch != "QRL"]
+    deviations = sim.noise_deviations(
+        [("QRL", row["angles"], arch, angles) for row, arch, angles in mapped], db
+    )
+    worst = max([0.0, *deviations])
+    rows = [
+        {"gate": row["gate"], "pair": ["QRL", arch], "db": db, "deviation": dev, "pass": dev <= tol}
+        for (row, arch, _), dev in zip(mapped, deviations)
+    ]
+    completions = [
+        {**rep.to_json_dict(), "pass": rep.mean_deviation <= tol and rep.cov_deviation <= tol}
+        for rep in sim.completion_experiments(sim.COMPLETION_CASES, db, seed=args.seed)
+    ]
     try:
         sim.virtual_completion_experiment(*sim.REFUSED_COMPLETION, db)
         mbsl_refused = False
@@ -297,17 +286,19 @@ def _print_manifest(manifest: dict, args: argparse.Namespace | None = None, code
 
 def _run_verify(args: argparse.Namespace) -> int:
     start = time.perf_counter()
+    results, subject_seconds = {}, {}
     try:
-        if args.subject == "all":
-            passed, report = True, {}
-            for name, runner in SUBJECT_RUNNERS.items():
-                sub_pass, sub_report = runner(args)
-                passed = passed and sub_pass
-                report[name] = {"passed": sub_pass, "report": sub_report}
-        else:
-            passed, report = SUBJECT_RUNNERS[args.subject](args)
+        for name in SUBJECT_RUNNERS if args.subject == "all" else (args.subject,):
+            t0 = time.perf_counter()
+            results[name] = SUBJECT_RUNNERS[name](args)
+            subject_seconds[name] = round(time.perf_counter() - t0, 6)
     except ValueError as exc:
         return _precondition_error(exc)
+    if args.subject == "all":
+        passed = all(sub_pass for sub_pass, _ in results.values())
+        report = {name: {"passed": p, "report": r} for name, (p, r) in results.items()}
+    else:
+        passed, report = results[args.subject]
     manifest = {
         "command": "verify",
         "subject": args.subject,
@@ -318,8 +309,10 @@ def _run_verify(args: argparse.Namespace) -> int:
             "tol": args.tol,
         },
         "version": __version__,
+        "versions": {"python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__},
         "passed": passed,
         "elapsed_seconds": round(time.perf_counter() - start, 3),
+        "subject_seconds": subject_seconds,
         "report": report,
     }
     return _print_manifest(manifest, args, 0 if passed else 1)

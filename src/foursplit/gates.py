@@ -459,6 +459,7 @@ def map_reference_angles(vc_name: str, qrl_angles: Sequence[float]) -> tuple[flo
 def mapping_compatible(vc_name: str, qrl_angles: Sequence[float], tol: float = 1e-12) -> bool:
     """Whether the mapped angles satisfy the architecture's restriction,
     equal up to a whole turn."""
+    zoo.check_finite_angles(qrl_angles)
     mapped = map_reference_angles(vc_name, qrl_angles)
     rule = zoo.virtual_completion(vc_name[2:])
     j, k = rule.pair

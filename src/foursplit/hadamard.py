@@ -89,16 +89,21 @@ def row_parity(h: SignMatrix) -> tuple[int, ...]:
     return tuple(sum(v < 0 for v in h[i : i + n]) % 2 for i in range(0, len(h), n))
 
 
-def class_parity(h: SignMatrix) -> int:
-    """The common row parity of a class member.
+def class_parities(members: np.ndarray) -> np.ndarray:
+    """The common row parity of each sign matrix in an (k, n, n) stack.
 
-    Every member of the 4x4 class has all four rows of equal parity; a mixed
-    input raises, as that indicates the matrix is not in the class.
+    Every member of the 4x4 class has all four rows of equal parity; a
+    matrix with mixed rows raises, as that indicates it is not in the class.
     """
-    parities = set(row_parity(h))
-    if len(parities) != 1:
+    parities = (np.asarray(members) < 0).sum(axis=-1, dtype=np.int8) % 2  # (k, n)
+    if (parities != parities[:, :1]).any():
         raise ValueError("rows of mixed parity: not a class member")
-    return parities.pop()
+    return parities[:, 0]
+
+
+def class_parity(h: SignMatrix) -> int:
+    """The common row parity of a class member (see :func:`class_parities`)."""
+    return int(class_parities(to_array(h)[None])[0])
 
 
 @functools.cache

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -34,6 +35,8 @@ Pair = tuple[int, int]
 SPLITTER_PAIRS: tuple[Pair, ...] = tuple(
     (s, d) for s in range(1, 5) for d in range(1, 5) if d != s
 )
+#: The 4-bit set of modes each splitter touches, in enumeration order.
+_MODE_SETS = (1 << (np.array(SPLITTER_PAIRS) - 1)).sum(axis=1).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -152,27 +155,15 @@ def _balanced_signs() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _conditions_mask(idx: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation of the three structural conditions, in int8."""
-    pairs = np.array(SPLITTER_PAIRS, dtype=np.int8)  # (12, 2)
-    seq = pairs[idx]  # (N, 4, 2)
-    # c1: each mode appears exactly twice among the eight endpoints
-    flat = seq.reshape(len(idx), 8)
-    c1 = np.ones(len(idx), dtype=bool)
-    for mode in range(1, 5):
-        c1 &= (flat == mode).sum(axis=1) == 2
-    # c2: first two splitters touch all four modes
-    first_four = seq[:, :2, :].reshape(len(idx), 4)
-    c2 = np.ones(len(idx), dtype=bool)
-    for mode in range(1, 5):
-        c2 &= (first_four == mode).any(axis=1)
-    # c3: the four unordered pairs are distinct
-    lo = seq.min(axis=2)
-    hi = seq.max(axis=2)
-    code = lo * 8 + hi  # (N, 4) unordered-pair codes
-    c3 = np.ones(len(idx), dtype=bool)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            c3 &= code[:, i] != code[:, j]
+    """The three structural conditions on stacked index rows, read off two
+    codes per splitter: the set of modes it touches, and its endpoint count
+    with one octal digit per mode (no mode is touched 8 times)."""
+    modes = _MODE_SETS[idx]  # (N, 4)
+    counts = (8 ** (np.array(SPLITTER_PAIRS) - 1)).sum(axis=1).astype(np.int16)[idx]
+    c1 = counts.sum(axis=1, dtype=np.int16) == 2 * 0o1111
+    c2 = (modes[:, 0] | modes[:, 1]) == 0b1111
+    i, j = np.triu_indices(4, 1)
+    c3 = (modes[:, i] != modes[:, j]).all(axis=1)
     return c1 & c2 & c3
 
 
@@ -272,8 +263,22 @@ def verify_theorem2(cross_check_stride: int = 0) -> Theorem2Report:
 # -- canonical form and census -----------------------------------------------
 
 
-def _disjoint(p: Pair, q: Pair) -> bool:
-    return not (set(p) & set(q))
+def _canonical_rows(rows: np.ndarray) -> np.ndarray:
+    """:func:`canonical_form` of each stacked index row, as a new array:
+    index order is pair order, so one compare-and-swap per adjacent
+    position, over all rows at once, is one step of the bubble sort, and
+    passes repeat until none swaps, as the sort of a single row does."""
+    out = np.array(rows)
+    swapped = True
+    while swapped:
+        swapped = False
+        for i in range(out.shape[1] - 1):
+            a, b = out[:, i], out[:, i + 1]
+            swap = ((_MODE_SETS[a] & _MODE_SETS[b]) == 0) & (b < a)
+            if swap.any():
+                out[swap, i], out[swap, i + 1] = b[swap], a[swap]
+                swapped = True
+    return out
 
 
 def canonical_form(net: BsNetwork) -> BsNetwork:
@@ -287,15 +292,8 @@ def canonical_form(net: BsNetwork) -> BsNetwork:
     """
     if not all(structural_conditions(net)):
         raise ValueError("canonical form requires a condition-passing sequence")
-    seq = list(net.sequence)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(seq) - 1):
-            if _disjoint(seq[i], seq[i + 1]) and seq[i + 1] < seq[i]:
-                seq[i], seq[i + 1] = seq[i + 1], seq[i]
-                changed = True
-    return BsNetwork(net.n_modes, tuple(seq))
+    indices = [SPLITTER_PAIRS.index(p) for p in net.sequence]
+    return sequence_from_indices(_canonical_rows(np.array([indices]))[0])
 
 
 @dataclass
@@ -335,23 +333,27 @@ def physical_census() -> CensusReport:
     exact 2R of its members, and histograms how many classes share a matrix.
     """
     sweep = _sweep()
-    class_keys: dict[tuple[Pair, ...], str] = {}
-    for indices, doubled in zip(sweep.rows, sweep.signs):
-        seq = canonical_form(sequence_from_indices(indices)).sequence
-        key = sign_string(doubled.ravel())  # 2R has entries +-1
-        if class_keys.setdefault(seq, key) != key:
-            raise AssertionError(f"members of class {seq} have different matrices")
+    if not _conditions_mask(sweep.rows).all():
+        raise ValueError("canonical form requires a condition-passing sequence")
+    canon = _canonical_rows(sweep.rows)
+    # classes in sorted order: a base-12 code keeps the rows' lexicographic order
+    _, first, member_class = np.unique(
+        canon @ 12 ** np.arange(3, -1, -1), return_index=True, return_inverse=True
+    )
+    mixed = (sweep.signs != sweep.signs[first][member_class]).any(axis=(1, 2))
+    if mixed.any():
+        seq = sequence_from_indices(canon[mixed][0]).sequence
+        raise AssertionError(f"members of class {seq} have different matrices")
     by_matrix: dict[str, list[tuple[Pair, ...]]] = {}
-    for seq in sorted(class_keys):
-        by_matrix.setdefault(class_keys[seq], []).append(seq)
-    histogram: dict[int, int] = {}
-    for seqs in by_matrix.values():
-        histogram[len(seqs)] = histogram.get(len(seqs), 0) + 1
+    for row, doubled in zip(canon[first].tolist(), sweep.signs[first].reshape(-1, 16).tolist()):
+        seq = tuple(SPLITTER_PAIRS[i] for i in row)
+        by_matrix.setdefault(sign_string(doubled), []).append(seq)  # 2R has entries +-1
+    histogram = dict(Counter(len(seqs) for seqs in by_matrix.values()))
     return CensusReport(
         candidate_count=sweep.balanced.size,
         condition_pass_count=sweep.condition_pass_count,
         balanced_count=len(sweep.rows),
-        physical_class_count=len(class_keys),
+        physical_class_count=len(first),
         distinct_matrix_count=len(by_matrix),
         multiplicity_histogram=histogram,
         representatives=by_matrix,

@@ -12,15 +12,14 @@ Each run reads its lab network, outcome rewiring and output parity off its
 gate's ``layout`` and ``rule``, and its correction off ``gate.D``; each
 check builds each of its gates once.
 
-Every conditioning, of :func:`homodyne`, of a gadget run and of the two
-gadgets that :func:`noise_compare` and
-:func:`virtual_completion_experiment` compare, goes through one batched
-kernel, ``_condition``.  It validates each covariance it is given (the
-state before the measurement) and each conditional covariance it returns,
-as :class:`GaussianState` validates one; the states it hands out are built
-from those without a second check.  The ancilla variances come from the
-squeezing in closed form, under the same input checks as
-:func:`squeezed_vacuum`.
+Every conditioning, of :func:`homodyne`, of a gadget run and of all the
+gadgets that :func:`noise_deviations` and :func:`completion_experiments`
+compare, goes through one batched kernel, ``_condition``.  It validates
+each covariance it is given (the state before the measurement) and each
+conditional covariance it returns, as :class:`GaussianState` validates
+one; the states it hands out are built from those without a second check.
+The ancilla variances come from the squeezing in closed form, under the
+same input checks as :func:`squeezed_vacuum`.
 
 :func:`extracted_gate_matrix` builds its gate once and feeds four probes
 through the run behind :func:`simulate_gadget`.  The probes are unit
@@ -430,6 +429,34 @@ def _run_gadget(
     )
 
 
+def noise_deviations(
+    pairs: Sequence[tuple[str, Sequence[float], str, Sequence[float]]],
+    ancilla_db: float,
+    input_state: GaussianState | None = None,
+) -> list[float]:
+    """Max covariance deviation between the two gadgets of each pair
+    (arch_a, angles_a, arch_b, angles_b) on the same input, all conditioned
+    in one batched step.  The output covariance does not depend on the
+    outcomes, so none is drawn.  When exactly one gate of a pair carries the
+    output parity, its second output mode is sign-conjugated before comparing.
+    Every gadget is built and prepared, in order, before any is conditioned;
+    of conditioning errors, the first gadget's is raised.
+    """
+    built, prepared = [], []
+    for arch_a, angles_a, arch_b, angles_b in pairs:
+        for arch, angles in ((arch_a, angles_a), (arch_b, angles_b)):
+            built.append(gates.two_mode_gate(arch, angles))
+            prepared.append(_prepare(built[-1], ancilla_db, input_state))
+    _, befores, rows = zip(*prepared)
+    _, _, conds = _condition(np.stack(befores), np.stack(rows), _OUTPUTS)
+    deviations = []
+    for gate_a, gate_b, cov_a, cov_b in zip(built[0::2], built[1::2], conds[0::2], conds[1::2]):
+        if gate_a.layout.parity_on_output != gate_b.layout.parity_on_output:
+            cov_b = _PARITY_FLIP @ cov_b @ _PARITY_FLIP.T
+        deviations.append(float(np.abs(cov_a - cov_b).max()))
+    return deviations
+
+
 def noise_compare(
     arch_a: str,
     angles_a: Sequence[float],
@@ -438,21 +465,9 @@ def noise_compare(
     ancilla_db: float,
     input_state: GaussianState | None = None,
 ) -> float:
-    """Max covariance deviation between two gadgets on the same input.
-
-    The output covariance does not depend on the outcomes, so both gadgets
-    are conditioned in one batched step and no outcome is drawn.  When
-    exactly one of the two gates carries the output parity, the second
-    output mode of that covariance is sign-conjugated before comparing.
-    """
-    gate_a = gates.two_mode_gate(arch_a, angles_a)
-    _, before_a, rows_a = _prepare(gate_a, ancilla_db, input_state)
-    gate_b = gates.two_mode_gate(arch_b, angles_b)
-    _, before_b, rows_b = _prepare(gate_b, ancilla_db, input_state)
-    _, _, (cov_a, cov_b) = _condition(np.stack((before_a, before_b)), np.stack((rows_a, rows_b)), _OUTPUTS)
-    if gate_a.layout.parity_on_output != gate_b.layout.parity_on_output:
-        cov_b = _PARITY_FLIP @ cov_b @ _PARITY_FLIP.T
-    return float(np.abs(cov_a - cov_b).max())
+    """:func:`noise_deviations` of one pair of gadgets."""
+    pair = (arch_a, angles_a, arch_b, angles_b)
+    return noise_deviations([pair], ancilla_db, input_state)[0]
 
 
 @dataclass(frozen=True)
@@ -489,6 +504,50 @@ REFUSED_COMPLETION: tuple[str, str, tuple[float, float, float, float]] = (
 )
 
 
+def completion_experiments(
+    cases: Sequence[tuple[str, str, Sequence[float]]],
+    ancilla_db: float,
+    seed: int = 0,
+    input_state: GaussianState | None = None,
+) -> list[CompletionExperiment]:
+    """For each (incomplete, completed, angles) case, sample the incomplete
+    gadget, replay the completed one on the post-processed outcomes, and
+    compare the uncorrected conditional outputs: outcome post-processing
+    alone must make the two networks indistinguishable.  The gadgets of all
+    cases are conditioned in one batched step, after every case is checked
+    and prepared in order; each case draws from its own seeded streams, as
+    it does alone, and its replay's mean follows from those outcomes.
+    """
+    if input_state is None:  # vacuum noise around a seeded random mean
+        input_state = _VACUUM_INPUT.displaced(np.random.default_rng(seed).normal(0.0, 1.0, 4))
+    runs = []  # (gate, mean, covariance, covectors): each virtual run, then its replay
+    for incomplete, completed, angles in cases:
+        virtual = gates.two_mode_gate("vc" + incomplete, angles)
+        if virtual.rule.completed != completed:
+            raise ValueError(
+                f"{incomplete} virtually completes to {virtual.rule.completed}, not {completed}"
+            )
+        for gate in (virtual, gates.two_mode_gate(completed, angles)):
+            runs.append((gate, *_prepare(gate, ancilla_db, input_state)))
+    _, _, covs, rows = zip(*runs)
+    chol, gain, cond = _condition(np.stack(covs), np.stack(rows), _OUTPUTS)
+    experiments = []
+    for (incomplete, completed, _), v in zip(cases, range(0, len(runs), 2)):
+        (virtual, mean_v, _, rows_v), (_, mean_c, _, rows_c) = runs[v : v + 2]
+        values, white_v = _outcomes(chol[v], rows_v @ mean_v, None, np.random.default_rng(seed))
+        processed = virtual.rule.transform_outcomes(tuple(values.tolist())[::-1])
+        replayed = [processed[m - 1] for m in _MEASURED]
+        _, white_c = _outcomes(chol[v + 1], rows_c @ mean_c, replayed, None)
+        out_v = mean_v[_OUTPUTS] + gain[v] @ white_v
+        out_c = mean_c[_OUTPUTS] + gain[v + 1] @ white_c
+        mean_dev = float(np.abs(out_v - out_c).max())
+        cov_dev = float(np.abs(cond[v] - cond[v + 1]).max())
+        experiments.append(
+            CompletionExperiment(incomplete, completed, virtual.angles, float(ancilla_db), mean_dev, cov_dev)
+        )
+    return experiments
+
+
 def virtual_completion_experiment(
     incomplete: str,
     completed: str,
@@ -497,38 +556,10 @@ def virtual_completion_experiment(
     seed: int = 0,
     input_state: GaussianState | None = None,
 ) -> CompletionExperiment:
-    """Sample the incomplete gadget, replay the completed one on the
-    post-processed outcomes, and compare the conditional outputs.
-
-    The comparison is made on the uncorrected conditional states: outcome
-    post-processing alone must make the two networks indistinguishable.
-    Both gadgets are conditioned in one batched step; the replay's mean
-    then follows from the outcomes the virtual run drew.
-    """
-    virtual = gates.two_mode_gate("vc" + incomplete, angles)
-    rule = virtual.rule
-    if rule.completed != completed:
-        raise ValueError(f"{incomplete} virtually completes to {rule.completed}, not {completed}")
-    if input_state is None:  # vacuum noise around a seeded random mean
-        input_state = _VACUUM_INPUT.displaced(np.random.default_rng(seed).normal(0.0, 1.0, 4))
-
-    mean_v, cov_v, rows_v = _prepare(virtual, ancilla_db, input_state)
-    mean_c, cov_c, rows_c = _prepare(gates.two_mode_gate(completed, angles), ancilla_db, input_state)
-    chol, gain, cond = _condition(np.stack((cov_v, cov_c)), np.stack((rows_v, rows_c)), _OUTPUTS)
-    values, white_v = _outcomes(chol[0], rows_v @ mean_v, None, np.random.default_rng(seed))
-    processed = rule.transform_outcomes(tuple(values.tolist())[::-1])
-    replayed = [processed[m - 1] for m in _MEASURED]
-    _, white_c = _outcomes(chol[1], rows_c @ mean_c, replayed, None)
-    out_v = mean_v[_OUTPUTS] + gain[0] @ white_v
-    out_c = mean_c[_OUTPUTS] + gain[1] @ white_c
-    return CompletionExperiment(
-        incomplete=incomplete,
-        completed=completed,
-        angles=virtual.angles,
-        ancilla_db=float(ancilla_db),
-        mean_deviation=float(np.abs(out_v - out_c).max()),
-        cov_deviation=float(np.abs(cond[0] - cond[1]).max()),
-    )
+    """:func:`completion_experiments` of one case."""
+    case = (incomplete, completed, angles)
+    (experiment,) = completion_experiments([case], ancilla_db, seed, input_state)
+    return experiment
 
 
 def extracted_gate_matrix(

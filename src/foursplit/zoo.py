@@ -405,6 +405,13 @@ def no_virtual_completion_scan(
 # -- virtual completion ------------------------------------------------------
 
 
+def check_finite_angles(angles: Sequence[float]) -> None:
+    """Raise a ValueError naming the first angle that is NaN or infinite."""
+    for i, angle in enumerate(angles, 1):
+        if not math.isfinite(angle):
+            raise ValueError(f"theta_{i} = {angle!r} is not finite")
+
+
 @dataclass(frozen=True)
 class VirtualCompletionRule:
     """Measurement-side completion by restriction and outcome rewiring.
@@ -421,6 +428,7 @@ class VirtualCompletionRule:
     pair: Pair
 
     def check_angles(self, angles: Sequence[float], tol: float = 1e-12) -> None:
+        check_finite_angles(angles)
         j, k = self.pair
         if abs(math.remainder(angles[j - 1] - angles[k - 1], math.tau)) > tol:
             raise ValueError(

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -182,6 +183,26 @@ class TestVerifyCommand:
         code, out = run_cli(capsys, "verify", "euler", *csv)
         assert code == PRECONDITION_ERROR
         assert "not finite" in strict_json(out)["error"]
+
+    def test_manifest_records_subject_times_and_versions(self, capsys):
+        code, out = run_cli(capsys, "verify", "all", "--grid", "2")
+        manifest = json.loads(out)
+        subjects = [s for s in cli.VERIFY_SUBJECTS if s != "all"]
+        assert list(manifest["subject_seconds"]) == subjects
+        assert all(t >= 0 for t in manifest["subject_seconds"].values())
+        assert sum(manifest["subject_seconds"].values()) <= manifest["elapsed_seconds"] + 1e-3
+        assert manifest["versions"] == {
+            "python": "%d.%d.%d" % sys.version_info[:3],
+            "numpy": np.__version__,
+        }
+        code, out = run_cli(capsys, "verify", "census")
+        assert list(json.loads(out)["subject_seconds"]) == ["census"]
+
+    def test_new_manifest_fields_stay_out_of_csv(self, capsys):
+        code, out = run_cli(capsys, "verify", "insertion", "--csv")
+        assert code == 0
+        assert "subject_seconds" not in out and "versions" not in out
+        assert out.splitlines()[0].startswith("identity_holds,")
 
     def test_seed_recorded_in_parameters(self, capsys):
         code, out = run_cli(capsys, "verify", "insertion", "--seed", "42")

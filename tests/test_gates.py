@@ -1,6 +1,7 @@
 """Symplectic gate algebra: factorizations, teleported gates, the dictionary."""
 
 import math
+import re
 import types
 
 import numpy as np
@@ -442,6 +443,15 @@ class TestAngleMapping:
         assert not mapping_compatible("vcBSL", half_turned)
         assert mapping_compatible("vcDBSL", cz_angles)
         assert not mapping_compatible("vcMSG", cz_angles)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("vc_name", sorted(gates.VC_ANGLE_MAPS))
+    def test_non_finite_angle_refused_by_name(self, vc_name, bad):
+        for position in range(1, 5):
+            angles = [HALF_PI, HALF_PI + CHI, HALF_PI, HALF_PI - CHI]
+            angles[position - 1] = bad
+            with pytest.raises(ValueError, match=re.escape(f"theta_{position} = {bad!r} is not finite")):
+                mapping_compatible(vc_name, angles)
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,8 @@
 """Architecture registry: matrices, decompositions, residuals, completions."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -200,6 +203,19 @@ class TestVirtualCompletion:
         rule.check_angles((0.3, 0.7, 0.7, -0.1))
         with pytest.raises(ValueError, match="theta_2 = theta_3"):
             rule.check_angles((0.3, 0.7, 0.6, -0.1))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("position", [1, 2, 4])
+    def test_non_finite_angle_refused_by_name(self, bad, position):
+        angles = [0.1, 0.2, 0.3, 0.1]
+        angles[position - 1] = bad
+        with pytest.raises(ValueError, match=re.escape(f"theta_{position} = {bad!r} is not finite")):
+            virtual_completion("BSL").check_angles(angles)
+
+    def test_restriction_still_holds_up_to_a_whole_turn(self):
+        virtual_completion("BSL").check_angles((0.3, 1.0, 2.0, 0.3 + 2 * math.pi))
+        with pytest.raises(ValueError, match="theta_1 = theta_4"):
+            virtual_completion("BSL").check_angles((0.3, 1.0, 2.0, 0.3 + math.pi))
 
     def test_outcome_transform(self):
         rule = virtual_completion("BSL")
