@@ -7,6 +7,7 @@ candidate set.  The references here are the per-element loops those passes
 replaced; every result must be the same, bit for bit.
 """
 
+import dataclasses
 import json
 import re
 from collections import Counter
@@ -80,6 +81,16 @@ def test_census_equals_the_per_row_classification():
     assert census.representatives == by_matrix
     assert list(census.representatives) == list(by_matrix)
     assert census.multiplicity_histogram == dict(Counter(len(v) for v in by_matrix.values()))
+
+
+def test_census_refuses_a_class_whose_members_differ(monkeypatch):
+    sweep = networks._sweep()
+    signs = sweep.signs.copy()
+    signs[5] = -signs[5]
+    monkeypatch.setattr(networks, "_sweep", lambda: dataclasses.replace(sweep, signs=signs))
+    seq = reference_canonical(_pairs(sweep.rows[5:6])[0])
+    with pytest.raises(AssertionError, match=re.escape(f"members of class {seq} have different matrices")):
+        networks.physical_census()
 
 
 # -- theorem 1 ----------------------------------------------------------------
