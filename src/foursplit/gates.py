@@ -189,18 +189,6 @@ def network_op(net: BsNetwork) -> SymplecticOp:
     return SymplecticOp(mat)
 
 
-def architecture_op(name: str) -> SymplecticOp:
-    """:func:`network_op` of a registry architecture.  Its matrix is computed
-    once per name and shared read-only; the returned op is new on each call."""
-    return SymplecticOp(_architecture_block(zoo.architecture(name).name))
-
-
-@functools.cache
-def _architecture_block(name: str) -> np.ndarray:
-    mat = network_op(zoo.ARCHITECTURES[name].network()).matrix
-    mat.setflags(write=False)
-    return mat
-
 
 # -- convention checks --------------------------------------------------------
 
@@ -290,7 +278,9 @@ class TeleportedGate:
     outcomes to the phase-space shift the gadget imparts on top of ``op``;
     the corrective displacement is its negative.  ``layout`` is the
     completed registry entry the gate was read from, and ``rule`` the
-    virtual completion for a vc name, else None.
+    virtual completion for a vc name, else None.  ``lab_layout`` is the
+    entry whose network a gadget builds: ``layout`` itself, or the
+    incomplete entry a virtual completion measures.
     """
 
     architecture: str
@@ -299,6 +289,7 @@ class TeleportedGate:
     D: np.ndarray
     layout: zoo.Architecture
     rule: zoo.VirtualCompletionRule | None
+    lab_layout: zoo.Architecture
 
     def displacement(self, outcomes: Sequence[float]) -> np.ndarray:
         if len(outcomes) != 4:
@@ -333,12 +324,11 @@ _RAIL_MIX = np.array([[1, 0, 1, 0], [-1, 0, 1, 0], [0, 1, 0, 1], [0, -1, 0, 1]],
 
 
 @functools.cache
-def _outcome_routing(name: str) -> np.ndarray:
-    """Raw outcomes to signed outcomes in slot order, after the virtual
-    completion's rewiring for vc names; computed once per name, read-only."""
-    arch, rule = resolve_gate_architecture(name)
+def _outcome_routing(layout: zoo.Architecture, rule: zoo.VirtualCompletionRule | None) -> np.ndarray:
+    """Raw outcomes to signed outcomes in ``layout``'s slot order, after
+    ``rule``'s rewiring if any; computed once per pair of values, read-only."""
     route = np.zeros((4, 4))
-    for slot, (idx, sign) in enumerate(arch.gate_slots):
+    for slot, (idx, sign) in enumerate(layout.gate_slots):
         route[slot, idx - 1] = sign
     if rule is not None:
         route = route @ np.array([rule.transform_outcomes(e) for e in np.eye(4)]).T
@@ -381,7 +371,7 @@ def two_mode_gate(name: str, angles: Sequence[float]) -> TeleportedGate:
         )
         pair = slice(2 * rail, 2 * rail + 2)
         rails[pair, pair] = block / -math.sin(theta_a - theta_b)
-    shift = _RAIL_MIX @ rails @ _outcome_routing(name)
+    shift = _RAIL_MIX @ rails @ _outcome_routing(arch, rule)
     if arch.parity_on_output:
         op[1::2] *= -1.0  # rows q2 and p2
         shift[1::2] *= -1.0
@@ -393,6 +383,7 @@ def two_mode_gate(name: str, angles: Sequence[float]) -> TeleportedGate:
         D=shift,
         layout=arch,
         rule=rule,
+        lab_layout=arch if rule is None else zoo.architecture(rule.incomplete),
     )
 
 
@@ -441,43 +432,45 @@ def _qrl_rows() -> list[dict]:
     ]
 
 
-#: How each virtually completed architecture reorders reference angles:
-#: entry k is the reference angle that feeds gadget angle k, the row
-#: permutation of its completion's conventional decomposition.
-VC_ANGLE_MAPS: dict[str, tuple[int, ...]] = {
-    "vc" + arch.name: zoo.conventional_decomposition(arch.completed_by).row_perm
-    for arch in zoo.ARCHITECTURES.values()
-    if arch.virtual_pair is not None
-}
+def vc_angle_maps() -> dict[str, tuple[int, ...]]:
+    """How each virtually completed architecture of the current registry
+    reorders reference angles: entry k is the reference angle that feeds
+    gadget angle k, the row permutation of its completion's conventional
+    decomposition."""
+    return {
+        "vc" + arch.name: zoo.conventional_decomposition(arch.completed_by).row_perm
+        for arch in zoo.ARCHITECTURES.values()
+        if arch.virtual_pair is not None
+    }
 
 
 def map_reference_angles(vc_name: str, qrl_angles: Sequence[float]) -> tuple[float, ...]:
     """Reference (QRL) angles rearranged for a virtually completed gadget."""
-    return tuple(qrl_angles[i - 1] for i in VC_ANGLE_MAPS[vc_name])
+    return tuple(qrl_angles[i - 1] for i in vc_angle_maps()[vc_name])
 
 
 def mapping_compatible(vc_name: str, qrl_angles: Sequence[float], tol: float = 1e-12) -> bool:
     """Whether the mapped angles satisfy the architecture's restriction,
     equal up to a whole turn."""
     zoo.check_finite_angles(qrl_angles)
-    mapped = map_reference_angles(vc_name, qrl_angles)
-    rule = zoo.virtual_completion(vc_name[2:])
-    j, k = rule.pair
-    return abs(math.remainder(mapped[j - 1] - mapped[k - 1], math.tau)) <= tol
+    return zoo.virtual_completion(vc_name[2:]).admits(map_reference_angles(vc_name, qrl_angles), tol)
 
 
 def dictionary_rows() -> list[tuple[dict, str, tuple[float, ...]]]:
     """Every (reference row, layout, angles) the dictionary covers.
 
     Each reference row on QRL comes first, followed by its
-    restriction-compatible mappings onto the virtually completed layouts.
+    restriction-compatible mappings onto the virtually completed layouts,
+    all read from one derivation of :func:`vc_angle_maps`.
     """
+    maps = vc_angle_maps()
     rows = []
     for row in _qrl_rows():
         rows.append((row, "QRL", row["angles"]))
-        for vc_name in VC_ANGLE_MAPS:
-            if mapping_compatible(vc_name, row["angles"]):
-                rows.append((row, vc_name, map_reference_angles(vc_name, row["angles"])))
+        for vc_name, perm in maps.items():
+            mapped = tuple(row["angles"][i - 1] for i in perm)
+            if zoo.virtual_completion(vc_name[2:]).admits(mapped):
+                rows.append((row, vc_name, mapped))
     return rows
 
 

@@ -83,12 +83,6 @@ def enumerate_hadamard4() -> frozenset[SignMatrix]:
     return enumerate_sign_orthogonal(4)
 
 
-def row_parity(h: SignMatrix) -> tuple[int, ...]:
-    """Per-row parity: the number of -1 entries in each row, mod 2."""
-    n = int(round(len(h) ** 0.5))
-    return tuple(sum(v < 0 for v in h[i : i + n]) % 2 for i in range(0, len(h), n))
-
-
 def class_parities(members: np.ndarray) -> np.ndarray:
     """The common row parity of each sign matrix in an (k, n, n) stack.
 

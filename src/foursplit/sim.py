@@ -9,8 +9,8 @@ six-mode mean and covariance as arrays, applies the couplers and the
 network as one symplectic matrix, and conditions on all four outcomes in
 one step.  Unitaries are linear (:func:`apply` maps a mean by S alone).
 Each run reads its lab network, outcome rewiring and output parity off its
-gate's ``layout`` and ``rule``, and its correction off ``gate.D``; each
-check builds each of its gates once.
+gate's ``lab_layout``, ``rule`` and ``layout``, and its correction off
+``gate.D``; each check builds each of its gates once.
 
 Every conditioning, of :func:`homodyne`, of a gadget run and of all the
 gadgets that :func:`noise_deviations` and :func:`completion_experiments`
@@ -334,10 +334,10 @@ class GadgetResult:
 
 
 @functools.cache
-def _gadget_network(name: str) -> np.ndarray:
-    """The two couplers, then layout ``name``'s network on modes 1-4, as one
-    read-only 12x12 symplectic matrix, built once per physical layout."""
-    net = (gates.architecture_op(name).embed(6, (1, 2, 3, 4)) @ COUPLERS).matrix
+def _gadget_network(layout: gates.zoo.Architecture) -> np.ndarray:
+    """The two couplers, then registry entry ``layout``'s network on modes
+    1-4, as one read-only 12x12 symplectic matrix, built once per entry."""
+    net = (gates.network_op(layout.network()).embed(6, (1, 2, 3, 4)) @ COUPLERS).matrix
     net.setflags(write=False)
     return net
 
@@ -363,8 +363,7 @@ def _prepare(
     mean[_INPUTS] = input_state.mean
     cov = np.diag(tight * tight_mask + loose * loose_mask)
     cov[_INPUT_BLOCK] = input_state.cov
-    # the network built in the lab: a virtual completion runs its incomplete layout
-    net = _gadget_network(gate.layout.name if gate.rule is None else gate.rule.incomplete)
+    net = _gadget_network(gate.lab_layout)
     rows = np.zeros((4, 2 * _N))
     for i, mode in enumerate(_MEASURED):
         rows[i, mode - 1] = math.sin(gate.angles[mode - 1])
@@ -389,7 +388,7 @@ def simulate_gadget(
     ``D`` applied to the raw outcomes, is added to the output mean, so in
     the high-squeezing limit the output state is the teleported gate acting
     on the input regardless of the outcomes.  The couplers and the network
-    act as one matrix, built once per physical layout.
+    act as one matrix, built once per registry entry.
     """
     gate = gates.two_mode_gate(architecture, angles)
     if outcomes is not None and len(outcomes) != 4:
@@ -442,6 +441,8 @@ def noise_deviations(
     Every gadget is built and prepared, in order, before any is conditioned;
     of conditioning errors, the first gadget's is raised.
     """
+    if not pairs:
+        return []
     built, prepared = [], []
     for arch_a, angles_a, arch_b, angles_b in pairs:
         for arch, angles in ((arch_a, angles_a), (arch_b, angles_b)):
@@ -518,6 +519,8 @@ def completion_experiments(
     and prepared in order; each case draws from its own seeded streams, as
     it does alone, and its replay's mean follows from those outcomes.
     """
+    if not cases:
+        return []
     if input_state is None:  # vacuum noise around a seeded random mean
         input_state = _VACUUM_INPUT.displaced(np.random.default_rng(seed).normal(0.0, 1.0, 4))
     runs = []  # (gate, mean, covariance, covectors): each virtual run, then its replay

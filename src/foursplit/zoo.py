@@ -13,6 +13,10 @@ completed architecture relates to QRL: its conventional decomposition (signed
 row/column operations on the QRL matrix) and each virtual completion's angle
 remap in :mod:`gates` are read off them.
 
+:data:`ARCHITECTURES` is the one registry.  Every table derived from it is
+cached on the frozen entry values it is read from, never on a name, so
+replacing the dict or one of its entries installs a different registry.
+
 All matrix work here is exact; nothing in this module touches floating point
 except the virtual-completion angle scan, which is a numerical non-existence
 sweep by construction.
@@ -84,66 +88,67 @@ class Architecture:
         return self.network().matrix()
 
 
-_ARCH_LIST = [
-    Architecture(
-        name="QRL",
-        sequence=((1, 2), (3, 4), (1, 3), (2, 4)),
-        gate_slots=((1, 1), (2, 1), (3, 1), (4, 1)),
-    ),
-    Architecture(
-        name="BSL",
-        sequence=((1, 2), (3, 4), (2, 3)),
-        completed_by="cBSL",
-        virtual_pair=(1, 4),
-    ),
-    Architecture(
-        name="cBSL",
-        sequence=((1, 2), (3, 4), (2, 3), (1, 4)),
-        gate_slots=((1, 1), (2, 1), (4, 1), (3, 1)),
-        parity_on_output=True,
-    ),
-    Architecture(
-        name="DBSL",
-        sequence=((1, 2), (3, 4), (3, 2)),
-        completed_by="cDBSL",
-        virtual_pair=(1, 4),
-    ),
-    Architecture(
-        name="cDBSL",
-        sequence=((1, 2), (3, 4), (3, 2), (1, 4)),
-        gate_slots=((1, 1), (3, -1), (4, 1), (2, 1)),
-        parity_on_output=True,
-    ),
-    Architecture(
-        name="MSG",
-        sequence=((1, 2), (3, 4), (1, 4)),
-        completed_by="cMSG",
-        virtual_pair=(2, 3),
-    ),
-    Architecture(
-        name="cMSG",
-        sequence=((1, 2), (3, 4), (1, 4), (2, 3)),
-        gate_slots=((1, 1), (2, 1), (4, 1), (3, 1)),
-        parity_on_output=True,
-    ),
-    Architecture(
-        name="MBSL",
-        sequence=((4, 3), (3, 2), (1, 4)),
-        completed_by="cMBSL",
-    ),
-    Architecture(
-        name="cMBSL",
-        sequence=((1, 2), (4, 3), (3, 2), (1, 4)),
-        gate_slots=((4, 1), (3, -1), (1, 1), (2, 1)),
-        parity_on_output=False,
-    ),
-]
-
-ARCHITECTURES: dict[str, Architecture] = {a.name: a for a in _ARCH_LIST}
+ARCHITECTURES: dict[str, Architecture] = {
+    arch.name: arch
+    for arch in (
+        Architecture(
+            name="QRL",
+            sequence=((1, 2), (3, 4), (1, 3), (2, 4)),
+            gate_slots=((1, 1), (2, 1), (3, 1), (4, 1)),
+        ),
+        Architecture(
+            name="BSL",
+            sequence=((1, 2), (3, 4), (2, 3)),
+            completed_by="cBSL",
+            virtual_pair=(1, 4),
+        ),
+        Architecture(
+            name="cBSL",
+            sequence=((1, 2), (3, 4), (2, 3), (1, 4)),
+            gate_slots=((1, 1), (2, 1), (4, 1), (3, 1)),
+            parity_on_output=True,
+        ),
+        Architecture(
+            name="DBSL",
+            sequence=((1, 2), (3, 4), (3, 2)),
+            completed_by="cDBSL",
+            virtual_pair=(1, 4),
+        ),
+        Architecture(
+            name="cDBSL",
+            sequence=((1, 2), (3, 4), (3, 2), (1, 4)),
+            gate_slots=((1, 1), (3, -1), (4, 1), (2, 1)),
+            parity_on_output=True,
+        ),
+        Architecture(
+            name="MSG",
+            sequence=((1, 2), (3, 4), (1, 4)),
+            completed_by="cMSG",
+            virtual_pair=(2, 3),
+        ),
+        Architecture(
+            name="cMSG",
+            sequence=((1, 2), (3, 4), (1, 4), (2, 3)),
+            gate_slots=((1, 1), (2, 1), (4, 1), (3, 1)),
+            parity_on_output=True,
+        ),
+        Architecture(
+            name="MBSL",
+            sequence=((4, 3), (3, 2), (1, 4)),
+            completed_by="cMBSL",
+        ),
+        Architecture(
+            name="cMBSL",
+            sequence=((1, 2), (4, 3), (3, 2), (1, 4)),
+            gate_slots=((4, 1), (3, -1), (1, 1), (2, 1)),
+            parity_on_output=False,
+        ),
+    )
+}
 
 
 def architecture_names() -> list[str]:
-    return [a.name for a in _ARCH_LIST]
+    return list(ARCHITECTURES)
 
 
 def architecture(name: str) -> Architecture:
@@ -156,14 +161,14 @@ def architecture(name: str) -> Architecture:
 
 
 def architecture_matrix(name: str) -> ExactMatrix:
-    """The exact matrix of a registry architecture, built once per name
+    """The exact matrix of a registry architecture, built once per entry
     (an :class:`ExactMatrix` is immutable, so callers share it)."""
-    return _registry_matrix(architecture(name).name)
+    return _registry_matrix(architecture(name))
 
 
 @functools.cache
-def _registry_matrix(name: str) -> ExactMatrix:
-    return ARCHITECTURES[name].matrix()
+def _registry_matrix(arch: Architecture) -> ExactMatrix:
+    return arch.matrix()
 
 
 # -- relating completed architectures to the reference network ---------------
@@ -427,10 +432,15 @@ class VirtualCompletionRule:
     completed: str
     pair: Pair
 
+    def admits(self, angles: Sequence[float], tol: float = 1e-12) -> bool:
+        """Whether finite ``angles`` are equal on the pair, up to a whole turn."""
+        j, k = self.pair
+        return abs(math.remainder(angles[j - 1] - angles[k - 1], math.tau)) <= tol
+
     def check_angles(self, angles: Sequence[float], tol: float = 1e-12) -> None:
         check_finite_angles(angles)
-        j, k = self.pair
-        if abs(math.remainder(angles[j - 1] - angles[k - 1], math.tau)) > tol:
+        if not self.admits(angles, tol):
+            j, k = self.pair
             raise ValueError(
                 f"virtual completion of {self.incomplete} requires "
                 f"theta_{j} = theta_{k}"

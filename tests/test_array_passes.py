@@ -131,6 +131,15 @@ def test_batched_completions_equal_each_case_alone(db, seed):
     ]
 
 
+def test_empty_batches_give_empty_lists_before_building_a_gate(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an empty batch built a gate")
+
+    monkeypatch.setattr(gates, "two_mode_gate", refuse)
+    assert sim.noise_deviations([], 10.0) == []
+    assert sim.completion_experiments([], 10.0) == []
+
+
 def _first_error(calls):
     """The message of the first call that raises, as a loop would meet it."""
     for call in calls:
@@ -144,7 +153,7 @@ def _first_error(calls):
 def _networks(monkeypatch, per_layout):
     original = sim._gadget_network
     monkeypatch.setattr(
-        sim, "_gadget_network", lambda name: per_layout[name] if name in per_layout else original(name)
+        sim, "_gadget_network", lambda layout: per_layout[layout.name] if layout.name in per_layout else original(layout)
     )
 
 

@@ -31,8 +31,8 @@ def inputs():
     return module
 
 
-COMPLETED = [a for a in zoo._ARCH_LIST if a.gate_slots is not None]
-VIRTUAL = [a for a in zoo._ARCH_LIST if a.virtual_pair is not None]
+COMPLETED = [a for a in zoo.ARCHITECTURES.values() if a.gate_slots is not None]
+VIRTUAL = [a for a in zoo.ARCHITECTURES.values() if a.virtual_pair is not None]
 
 
 def test_slot_angles(inputs):
@@ -46,7 +46,7 @@ def test_virtual_completions(inputs):
 
 
 def test_angle_maps(inputs):
-    assert inputs.VC_ANGLE_MAPS == gates.VC_ANGLE_MAPS
+    assert inputs.VC_ANGLE_MAPS == gates.vc_angle_maps()
 
 
 def test_reference_rows(inputs):
@@ -54,4 +54,4 @@ def test_reference_rows(inputs):
 
 
 def test_oracle_gates(inputs):
-    assert inputs.ORACLE_GATES == tuple(a.name for a in COMPLETED) + tuple(gates.VC_ANGLE_MAPS)
+    assert inputs.ORACLE_GATES == tuple(a.name for a in COMPLETED) + tuple(gates.vc_angle_maps())

@@ -133,7 +133,7 @@ def _networks(monkeypatch, per_layout):
     """Replace the gadget network of the layouts named in ``per_layout``."""
     original = sim._gadget_network
     monkeypatch.setattr(
-        sim, "_gadget_network", lambda name: per_layout[name] if name in per_layout else original(name)
+        sim, "_gadget_network", lambda layout: per_layout[layout.name] if layout.name in per_layout else original(layout)
     )
 
 

@@ -1,9 +1,9 @@
 """The registry entry a teleported gate carries, and what reads it.
 
 ``gates.two_mode_gate`` resolves a gate name once and keeps the completed
-layout and the virtual-completion rule on the gate; the gadget checks in
-``sim`` read the lab network, the outcome rewiring and the output parity off
-those fields instead of resolving the name again.
+layout, the virtual-completion rule and the lab layout on the gate; the
+gadget checks in ``sim`` read the lab network, the outcome rewiring and the
+output parity off those fields instead of resolving the name again.
 """
 
 import dataclasses
@@ -18,8 +18,8 @@ ANGLES = (0.8, -0.4, 1.1, 0.8)  # satisfies every layout's V pairs and the BSL r
 
 
 def test_gate_names_cover_the_registry():
-    completed = [a.name for a in zoo._ARCH_LIST if a.gate_slots is not None]
-    virtual = ["vc" + a.name for a in zoo._ARCH_LIST if a.virtual_pair is not None]
+    completed = [a.name for a in zoo.ARCHITECTURES.values() if a.gate_slots is not None]
+    virtual = ["vc" + a.name for a in zoo.ARCHITECTURES.values() if a.virtual_pair is not None]
     assert sorted(GATE_NAMES) == sorted(completed + virtual)
 
 
@@ -36,11 +36,7 @@ def test_gate_carries_its_resolved_layout(name):
     assert gate.layout == layout
     assert gate.rule == rule
     assert (gate.rule is None) == (not name.startswith("vc"))
-
-
-def _clear_registry_caches():
-    for cached in (zoo._registry_matrix, gates._architecture_block, gates._outcome_routing, sim._gadget_network):
-        cached.cache_clear()
+    assert gate.lab_layout == (layout if rule is None else zoo.architecture(rule.incomplete))
 
 
 def _noise_by_two_runs(arch_a, angles_a, arch_b, angles_b, db, parity_differs):
@@ -63,18 +59,12 @@ def test_gate_and_noise_compare_see_a_registry_mutant():
     mutant = dataclasses.replace(real, parity_on_output=not real.parity_on_output)
     args = ("QRL", qrl_angles, "vcBSL", vc_angles, 10.0)
     real_noise = sim.noise_compare(*args)
-    try:
-        with pytest.MonkeyPatch.context() as patch:
-            arch_list = [mutant if a is real else a for a in zoo._ARCH_LIST]
-            patch.setattr(zoo, "_ARCH_LIST", arch_list)
-            patch.setattr(zoo, "ARCHITECTURES", {a.name: a for a in arch_list})
-            _clear_registry_caches()
-            for name in ("cBSL", "vcBSL"):
-                assert gates.two_mode_gate(name, vc_angles).layout is mutant
-            mutant_noise = sim.noise_compare(*args)
-            expected = _noise_by_two_runs(*args, parity_differs=mutant.parity_on_output)
-    finally:
-        _clear_registry_caches()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(zoo.ARCHITECTURES, "cBSL", mutant)
+        for name in ("cBSL", "vcBSL"):
+            assert gates.two_mode_gate(name, vc_angles).layout is mutant
+        mutant_noise = sim.noise_compare(*args)
+        expected = _noise_by_two_runs(*args, parity_differs=mutant.parity_on_output)
     assert zoo.ARCHITECTURES["cBSL"] is real
     assert real_noise <= 1e-9
     assert abs(mutant_noise - expected) <= 1e-12

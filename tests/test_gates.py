@@ -410,16 +410,16 @@ class TestTeleportedGates:
 
 class TestAngleMapping:
     def test_maps_are_permutations(self):
-        for name, perm in gates.VC_ANGLE_MAPS.items():
+        for name, perm in gates.vc_angle_maps().items():
             assert sorted(perm) == [1, 2, 3, 4], name
 
     def test_maps_pinned_and_inverse_to_gate_slots(self):
-        assert gates.VC_ANGLE_MAPS == {
+        assert gates.vc_angle_maps() == {
             "vcBSL": (1, 2, 4, 3),
             "vcDBSL": (1, 4, 2, 3),
             "vcMSG": (1, 2, 4, 3),
         }
-        for vc_name, perm in gates.VC_ANGLE_MAPS.items():
+        for vc_name, perm in gates.vc_angle_maps().items():
             completed = zoo.architecture(zoo.virtual_completion(vc_name[2:]).completed)
             for slot, (angle_index, _) in enumerate(completed.gate_slots, start=1):
                 assert perm[angle_index - 1] == slot
@@ -431,7 +431,7 @@ class TestAngleMapping:
     def test_swap_row_is_never_compatible(self):
         swap_angles = (0.0, HALF_PI, HALF_PI, 0.0)
         assert not any(
-            mapping_compatible(vc, swap_angles) for vc in gates.VC_ANGLE_MAPS
+            mapping_compatible(vc, swap_angles) for vc in gates.vc_angle_maps()
         )
 
     def test_cz_row_compatibility_pattern(self):
@@ -445,7 +445,7 @@ class TestAngleMapping:
         assert not mapping_compatible("vcMSG", cz_angles)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("vc_name", sorted(gates.VC_ANGLE_MAPS))
+    @pytest.mark.parametrize("vc_name", sorted(gates.vc_angle_maps()))
     def test_non_finite_angle_refused_by_name(self, vc_name, bad):
         for position in range(1, 5):
             angles = [HALF_PI, HALF_PI + CHI, HALF_PI, HALF_PI - CHI]
@@ -616,19 +616,6 @@ class TestCircuitIdentities:
         data = report.to_json_dict()
         assert data["all_pass"] is True
         assert set(data["deviations"]) == set(report.deviations)
-
-
-@pytest.mark.parametrize("name", zoo.architecture_names())
-def test_architecture_op_is_cached_and_fresh(name):
-    expected = network_op(zoo.architecture(name).network()).matrix
-    op = gates.architecture_op(name)
-    assert np.array_equal(op.matrix, expected)
-    with pytest.raises(ValueError):
-        op.matrix[0, 0] = 9.0
-    op.matrix = np.zeros((8, 8))
-    later = gates.architecture_op(name)
-    assert later is not op
-    assert np.array_equal(later.matrix, expected)
 
 
 def test_v_gate_disagreement_is_value_error():

@@ -13,7 +13,6 @@ from foursplit.hadamard import (
     from_array,
     generate_class,
     realization_census,
-    row_parity,
     seed_matrix,
     sign_string,
     to_array,
@@ -65,7 +64,6 @@ def test_parity_split():
 
 def test_row_parity_of_seed():
     # Rows of the seed carry 0 or 2 sign flips each: an even class member.
-    assert row_parity(seed_matrix()) == (0, 0, 0, 0)
     assert class_parity(seed_matrix()) == 0
 
 
@@ -139,8 +137,3 @@ def test_signed_row_perms_is_one_read_only_orbit():
         for signs in product((1, -1), repeat=4)
     ]
     assert np.array_equal(orbit, np.stack(loop))
-
-
-def test_row_parity_matches_array_count():
-    for h in enumerate_hadamard4():
-        assert row_parity(h) == tuple(int((row < 0).sum() % 2) for row in to_array(h))

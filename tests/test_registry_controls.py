@@ -5,8 +5,11 @@ order of the two slots of one rail, the output parity, or the virtual
 completion's equal-angle pair.  The registry is the only statement of each
 layout's equivalence to QRL, so every such change must make a verification
 subject that passes on the real registry fail, or refuse to run.  The real
-registry is never edited: each control is installed by monkeypatching and
-the caches derived from the registry are cleared before and after.
+registry is never edited: each control is installed by monkeypatching its one
+entry of ``zoo.ARCHITECTURES``.  Every table derived from the registry is
+cached on the entry values it is read from, so that one patch is all it
+takes, and undoing it brings the real tables back; a guard checks this
+against tables warmed before the patch.
 """
 
 import argparse
@@ -25,7 +28,7 @@ ARGS = argparse.Namespace(seed=0, db=None, grid=None, tol=None)
 def _mutants():
     """(id, architecture name, field changes) of every single-field control."""
     out = []
-    for arch in zoo._ARCH_LIST:
+    for arch in zoo.ARCHITECTURES.values():
         if arch.gate_slots is not None:
             slots = arch.gate_slots
             for k, (idx, sign) in enumerate(slots):
@@ -43,23 +46,6 @@ def _mutants():
 
 
 MUTANTS = _mutants()
-
-
-def _clear_registry_caches():
-    for cached in (zoo._registry_matrix, gates._architecture_block, gates._outcome_routing, sim._gadget_network):
-        cached.cache_clear()
-
-
-def _install(monkeypatch, arch_list):
-    monkeypatch.setattr(zoo, "_ARCH_LIST", arch_list)
-    monkeypatch.setattr(zoo, "ARCHITECTURES", {a.name: a for a in arch_list})
-    _clear_registry_caches()
-    vc_maps = {
-        "vc" + a.name: zoo.conventional_decomposition(a.completed_by).row_perm
-        for a in arch_list
-        if a.virtual_pair is not None
-    }
-    monkeypatch.setattr(gates, "VC_ANGLE_MAPS", vc_maps)
 
 
 def _failures(subject):
@@ -93,12 +79,58 @@ def test_registry_mutant_fails_a_subject(real_failures, name, changes):
         "noise": set(),
     }
     real = zoo.ARCHITECTURES[name]
-    mutated = [dataclasses.replace(a, **changes) if a is real else a for a in zoo._ARCH_LIST]
-    try:
-        with pytest.MonkeyPatch.context() as patch:
-            _install(patch, mutated)
-            rejected = any(_failures(subject) - real_failures[subject] for subject in SUBJECTS)
-    finally:
-        _clear_registry_caches()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(zoo.ARCHITECTURES, name, dataclasses.replace(real, **changes))
+        rejected = any(_failures(subject) - real_failures[subject] for subject in SUBJECTS)
     assert zoo.ARCHITECTURES[name] is real
     assert rejected, f"no subject rejects {name} with {changes}"
+
+
+#: Angles at which both the cBSL and the cDBSL gate are defined, and QRL
+#: angles that tell the vcBSL and vcDBSL remaps apart.
+ANGLES = (0.8, -0.4, 1.1, 0.8)
+QRL_ANGLES = (1.0, 2.0, 3.0, 4.0)
+
+
+def _tables():
+    """What the package derives from the registry's cBSL entry: its exact
+    matrix, the vcBSL angle remap, the cBSL gate's displacement rule and the
+    network of that gate's gadget."""
+    gate = gates.two_mode_gate("cBSL", ANGLES)
+    return {
+        "matrix": zoo.architecture_matrix("cBSL"),
+        "angle map": gates.map_reference_angles("vcBSL", QRL_ANGLES),
+        "D": gate.D.tolist(),
+        "network": sim._gadget_network(gate.lab_layout).tolist(),
+    }
+
+
+def _fresh_tables(entry, donor):
+    """The same tables derived afresh from ``entry``; its displacement rule
+    is that of the registry's ``donor`` gate, whose entry equals ``entry``
+    in every field but the name."""
+    remap = [0] * 4
+    for slot, (angle_index, _) in enumerate(entry.gate_slots, start=1):
+        remap[angle_index - 1] = slot
+    network = gates.network_op(entry.network()).embed(6, (1, 2, 3, 4)) @ sim.COUPLERS
+    return {
+        "matrix": entry.matrix(),
+        "angle map": tuple(QRL_ANGLES[i - 1] for i in remap),
+        "D": gates.two_mode_gate(donor, ANGLES).D.tolist(),
+        "network": network.matrix.tolist(),
+    }
+
+
+def test_replacing_an_entry_replaces_every_table_derived_from_it():
+    for subject in ("noise", "dictionary"):  # warm every derived table
+        cli.SUBJECT_RUNNERS[subject](ARGS)
+    real, donor = zoo.ARCHITECTURES["cBSL"], zoo.ARCHITECTURES["cDBSL"]
+    replaced = dataclasses.replace(donor, name="cBSL")
+    before = _tables()
+    expected = _fresh_tables(replaced, "cDBSL")
+    assert before == _fresh_tables(real, "cBSL")
+    assert all(before[key] != expected[key] for key in before)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(zoo.ARCHITECTURES, "cBSL", replaced)
+        assert _tables() == expected
+    assert _tables() == before

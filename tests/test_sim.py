@@ -648,10 +648,11 @@ def test_virtual_completion_equivalent_for_random_restricted_angles(case, angles
 
 @pytest.mark.parametrize("name", sorted(zoo.ARCHITECTURES))
 def test_gadget_network_is_cached_read_only(name):
-    net = sim._gadget_network(name)
-    expected = gates.architecture_op(name).embed(6, (1, 2, 3, 4)) @ sim.COUPLERS
+    layout = zoo.architecture(name)
+    net = sim._gadget_network(layout)
+    expected = gates.network_op(layout.network()).embed(6, (1, 2, 3, 4)) @ sim.COUPLERS
     assert np.array_equal(net, expected.matrix)
-    assert sim._gadget_network(name) is net
+    assert sim._gadget_network(layout) is net
     with pytest.raises(ValueError):
         net[0, 0] = 9.0
 
