@@ -86,29 +86,36 @@ def test_registry_mutant_fails_a_subject(real_failures, name, changes):
     assert rejected, f"no subject rejects {name} with {changes}"
 
 
-#: Angles at which both the cBSL and the cDBSL gate are defined, and QRL
-#: angles that tell the vcBSL and vcDBSL remaps apart.
+#: Angles at which both the cBSL and the cDBSL gate are defined, QRL angles
+#: that tell the vcBSL and vcDBSL remaps apart, and a gadget run's outcomes.
 ANGLES = (0.8, -0.4, 1.1, 0.8)
 QRL_ANGLES = (1.0, 2.0, 3.0, 4.0)
+OUTCOMES = (0.1, -0.2, 0.3, 0.4)
+
+
+def _run(name):
+    output = sim.simulate_gadget(name, ANGLES, 10.0, outcomes=OUTCOMES).output
+    return output.mean.tolist(), output.cov.tolist()
 
 
 def _tables():
     """What the package derives from the registry's cBSL entry: its exact
-    matrix, the vcBSL angle remap, the cBSL gate's displacement rule and the
-    network of that gate's gadget."""
+    matrix, the vcBSL angle remap, the cBSL gate's displacement rule, the
+    network of that gate's gadget, and what a run of that gadget outputs."""
     gate = gates.two_mode_gate("cBSL", ANGLES)
     return {
         "matrix": zoo.architecture_matrix("cBSL"),
         "angle map": gates.map_reference_angles("vcBSL", QRL_ANGLES),
         "D": gate.D.tolist(),
         "network": sim._gadget_network(gate.lab_layout).tolist(),
+        "run": _run("cBSL"),
     }
 
 
 def _fresh_tables(entry, donor):
     """The same tables derived afresh from ``entry``; its displacement rule
-    is that of the registry's ``donor`` gate, whose entry equals ``entry``
-    in every field but the name."""
+    and gadget run are those of the registry's ``donor`` gate, whose entry
+    equals ``entry`` in every field but the name."""
     remap = [0] * 4
     for slot, (angle_index, _) in enumerate(entry.gate_slots, start=1):
         remap[angle_index - 1] = slot
@@ -118,6 +125,7 @@ def _fresh_tables(entry, donor):
         "angle map": tuple(QRL_ANGLES[i - 1] for i in remap),
         "D": gates.two_mode_gate(donor, ANGLES).D.tolist(),
         "network": network.matrix.tolist(),
+        "run": _run(donor),
     }
 
 
