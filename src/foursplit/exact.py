@@ -133,21 +133,6 @@ class ExactScalar:
         sign = "+" if self.b >= 0 else "-"
         return f"({self.a}{sign}{abs(self.b)}√2)/√2^{self.m}"
 
-    @staticmethod
-    def from_text(s: str) -> ExactScalar:
-        """Parse the output of :meth:`text`."""
-        num, _, den = s.partition(")/√2^")
-        if not num.startswith("(") or not den:
-            raise ValueError(f"not a serialized exact scalar: {s!r}")
-        body = num[1:]
-        # split on the sign of the sqrt2 coefficient, skipping a leading sign
-        for i in range(1, len(body)):
-            if body[i] in "+-" and body[i + 1 :].endswith("√2"):
-                a = int(body[:i])
-                b = int(body[i:].removesuffix("√2").replace("+", ""))
-                return ExactScalar(a, b, int(den))
-        raise ValueError(f"not a serialized exact scalar: {s!r}")
-
 
 INV_SQRT2 = ExactScalar.inv_sqrt2()
 HALF = ExactScalar(1, 0, 2)

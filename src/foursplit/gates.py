@@ -277,10 +277,10 @@ class TeleportedGate:
     displacement rule, a read-only linear map from the four raw homodyne
     outcomes to the phase-space shift the gadget imparts on top of ``op``;
     the corrective displacement is its negative.  ``layout`` is the
-    completed registry entry the gate was read from, and ``rule`` the
-    virtual completion for a vc name, else None.  ``lab_layout`` is the
-    entry whose network a gadget builds: ``layout`` itself, or the
-    incomplete entry a virtual completion measures.
+    completed registry entry the gate was read from.  ``lab_layout`` is the
+    entry whose network a gadget builds, and whose restriction and outcome
+    rewiring the run obeys: ``layout`` itself, or the incomplete entry a
+    virtual completion measures.
     """
 
     architecture: str
@@ -288,7 +288,6 @@ class TeleportedGate:
     op: SymplecticOp
     D: np.ndarray
     layout: zoo.Architecture
-    rule: zoo.VirtualCompletionRule | None
     lab_layout: zoo.Architecture
 
     def displacement(self, outcomes: Sequence[float]) -> np.ndarray:
@@ -297,23 +296,24 @@ class TeleportedGate:
         return self.D @ np.asarray(outcomes, dtype=float)
 
 
-def resolve_gate_architecture(name: str) -> tuple[zoo.Architecture, zoo.VirtualCompletionRule | None]:
-    """Map a gate architecture name to its registry entry.
+def resolve_gate_architecture(name: str) -> tuple[zoo.Architecture, zoo.Architecture]:
+    """Map a gate architecture name to its (layout, lab_layout) entries.
 
-    Accepts the completed architectures plus the virtually completed forms
-    (prefix "vc"), for which the returned rule carries the equal-angle
-    restriction and outcome rewiring.
+    Accepts the completed architectures, whose lab layout is themselves,
+    plus the virtually completed forms (prefix "vc"), whose lab layout is
+    the incomplete entry carrying the equal-angle restriction and outcome
+    rewiring.
     """
     if name.startswith("vc"):
-        rule = zoo.virtual_completion(name[2:])
-        return zoo.architecture(rule.completed), rule
+        lab = zoo.virtual_completion(name[2:])
+        return zoo.architecture(lab.completed_by), lab
     arch = zoo.architecture(name)
     if arch.gate_slots is None:
         raise ValueError(
             f"{name} has no teleported two-mode gate; complete it first "
             f"(use {arch.completed_by or 'a completed architecture'})"
         )
-    return arch, None
+    return arch, arch
 
 
 #: The splitter into the V pair, mixing (1 -> 2), and the reversed one out of it.
@@ -324,14 +324,13 @@ _RAIL_MIX = np.array([[1, 0, 1, 0], [-1, 0, 1, 0], [0, 1, 0, 1], [0, -1, 0, 1]],
 
 
 @functools.cache
-def _outcome_routing(layout: zoo.Architecture, rule: zoo.VirtualCompletionRule | None) -> np.ndarray:
+def _outcome_routing(layout: zoo.Architecture, lab_layout: zoo.Architecture) -> np.ndarray:
     """Raw outcomes to signed outcomes in ``layout``'s slot order, after
-    ``rule``'s rewiring if any; computed once per pair of values, read-only."""
+    ``lab_layout``'s rewiring; computed once per pair of values, read-only."""
     route = np.zeros((4, 4))
     for slot, (idx, sign) in enumerate(layout.gate_slots):
         route[slot, idx - 1] = sign
-    if rule is not None:
-        route = route @ np.array([rule.transform_outcomes(e) for e in np.eye(4)]).T
+    route = route @ np.array([lab_layout.transform_outcomes(e) for e in np.eye(4)]).T
     route.setflags(write=False)
     return route
 
@@ -356,9 +355,8 @@ def two_mode_gate(name: str, angles: Sequence[float]) -> TeleportedGate:
             f"measurement angles must be finite and within {MAX_ANGLE:g} rad: a larger "
             f"angle carries no usable phase; got {list(angles)}"
         )
-    arch, rule = resolve_gate_architecture(name)
-    if rule is not None:
-        rule.check_angles(angles)
+    arch, lab = resolve_gate_architecture(name)
+    lab.check_angles(angles)
     eff = [angles[idx - 1] for idx, _ in arch.gate_slots]
     local = np.zeros((4, 4))  # V1 on (q1, p1), V2 on (q2, p2)
     local[::2, ::2] = v_gate(eff[0], eff[1]).matrix
@@ -371,7 +369,7 @@ def two_mode_gate(name: str, angles: Sequence[float]) -> TeleportedGate:
         )
         pair = slice(2 * rail, 2 * rail + 2)
         rails[pair, pair] = block / -math.sin(theta_a - theta_b)
-    shift = _RAIL_MIX @ rails @ _outcome_routing(arch, rule)
+    shift = _RAIL_MIX @ rails @ _outcome_routing(arch, lab)
     if arch.parity_on_output:
         op[1::2] *= -1.0  # rows q2 and p2
         shift[1::2] *= -1.0
@@ -382,8 +380,7 @@ def two_mode_gate(name: str, angles: Sequence[float]) -> TeleportedGate:
         op=SymplecticOp(op),
         D=shift,
         layout=arch,
-        rule=rule,
-        lab_layout=arch if rule is None else zoo.architecture(rule.incomplete),
+        lab_layout=lab,
     )
 
 
@@ -445,15 +442,13 @@ def vc_angle_maps() -> dict[str, tuple[int, ...]]:
 
 
 def map_reference_angles(vc_name: str, qrl_angles: Sequence[float]) -> tuple[float, ...]:
-    """Reference (QRL) angles rearranged for a virtually completed gadget."""
-    return tuple(qrl_angles[i - 1] for i in vc_angle_maps()[vc_name])
-
-
-def mapping_compatible(vc_name: str, qrl_angles: Sequence[float], tol: float = 1e-12) -> bool:
-    """Whether the mapped angles satisfy the architecture's restriction,
-    equal up to a whole turn."""
-    zoo.check_finite_angles(qrl_angles)
-    return zoo.virtual_completion(vc_name[2:]).admits(map_reference_angles(vc_name, qrl_angles), tol)
+    """Reference (QRL) angles rearranged for a virtually completed gadget by
+    its :func:`vc_angle_maps` entry, derived for this name alone; whether
+    they meet its restriction is its lab layout's ``admits``."""
+    if not vc_name.startswith("vc"):
+        raise ValueError(f"{vc_name} is not a virtually completed architecture")
+    layout, _ = resolve_gate_architecture(vc_name)
+    return tuple(qrl_angles[i - 1] for i in zoo.conventional_decomposition(layout.name).row_perm)
 
 
 def dictionary_rows() -> list[tuple[dict, str, tuple[float, ...]]]:

@@ -8,8 +8,8 @@ teleported two-mode output on the ancilla partner modes.  A run builds the
 six-mode mean and covariance as arrays, applies the couplers and the
 network as one symplectic matrix, and conditions on all four outcomes in
 one step.  Unitaries are linear (:func:`apply` maps a mean by S alone).
-Each run reads its lab network, outcome rewiring and output parity off its
-gate's ``lab_layout``, ``rule`` and ``layout``, and its correction off
+Each run reads its lab network and outcome rewiring off its gate's
+``lab_layout``, its output parity off ``layout`` and its correction off
 ``gate.D``; each check builds each of its gates once.
 
 Every conditioning, of :func:`homodyne`, of a gadget run and of all the
@@ -413,15 +413,14 @@ def _run_gadget(
     else:
         values, white = _outcomes(chol, rows @ mean, [outcomes[m - 1] for m in _MEASURED], None)
     raw = tuple(values.tolist())[::-1]
-    processed = raw if gate.rule is None else gate.rule.transform_outcomes(raw)
-
+    processed = gate.lab_layout.transform_outcomes(raw)
     shift = gate.displacement(raw)
     return GadgetResult(
         architecture=gate.architecture,
         angles=gate.angles,
         ancilla_db=float(ancilla_db),
         raw_outcomes=raw,
-        processed_outcomes=tuple(processed),
+        processed_outcomes=processed,
         correction=tuple((-shift).tolist()),
         output=_state(2, mean[_OUTPUTS] + gain @ white - shift, out_cov),
         gate=gate,
@@ -526,9 +525,9 @@ def completion_experiments(
     runs = []  # (gate, mean, covariance, covectors): each virtual run, then its replay
     for incomplete, completed, angles in cases:
         virtual = gates.two_mode_gate("vc" + incomplete, angles)
-        if virtual.rule.completed != completed:
+        if virtual.lab_layout.completed_by != completed:
             raise ValueError(
-                f"{incomplete} virtually completes to {virtual.rule.completed}, not {completed}"
+                f"{incomplete} virtually completes to {virtual.lab_layout.completed_by}, not {completed}"
             )
         for gate in (virtual, gates.two_mode_gate(completed, angles)):
             runs.append((gate, *_prepare(gate, ancilla_db, input_state)))
@@ -538,7 +537,7 @@ def completion_experiments(
     for (incomplete, completed, _), v in zip(cases, range(0, len(runs), 2)):
         (virtual, mean_v, _, rows_v), (_, mean_c, _, rows_c) = runs[v : v + 2]
         values, white_v = _outcomes(chol[v], rows_v @ mean_v, None, np.random.default_rng(seed))
-        processed = virtual.rule.transform_outcomes(tuple(values.tolist())[::-1])
+        processed = virtual.lab_layout.transform_outcomes(tuple(values.tolist())[::-1])
         replayed = [processed[m - 1] for m in _MEASURED]
         _, white_c = _outcomes(chol[v + 1], rows_c @ mean_c, replayed, None)
         out_v = mean_v[_OUTPUTS] + gain[v] @ white_v

@@ -64,6 +64,12 @@ class Architecture:
     teleported two-mode gate reads as the reference (QRL) gadget: slot k holds
     (angle index, outcome sign).  ``parity_on_output`` marks gates carrying an
     extra double Fourier (sign flip) on the second output mode.
+
+    An incomplete entry with a ``virtual_pair`` is its own virtual
+    completion: runs must measure the two pair modes at equal angles, up to a
+    whole turn (the same homodyne setting), and the raw outcomes on the pair
+    are then replaced by their balanced combinations, after which the
+    statistics equal those of the physically completed ``completed_by``.
     """
 
     name: str
@@ -83,6 +89,31 @@ class Architecture:
 
     def network(self) -> BsNetwork:
         return BsNetwork(4, self.sequence)
+
+    def admits(self, angles: Sequence[float], tol: float = 1e-12) -> bool:
+        """Whether finite ``angles`` are equal on the virtual pair, up to a
+        whole turn; every angle vector is admitted without a pair."""
+        if self.virtual_pair is None:
+            return True
+        j, k = self.virtual_pair
+        return abs(math.remainder(angles[j - 1] - angles[k - 1], math.tau)) <= tol
+
+    def check_angles(self, angles: Sequence[float], tol: float = 1e-12) -> None:
+        check_finite_angles(angles)
+        if not self.admits(angles, tol):
+            j, k = self.virtual_pair
+            raise ValueError(f"virtual completion of {self.name} requires theta_{j} = theta_{k}")
+
+    def transform_outcomes(self, outcomes: Sequence[float]) -> tuple[float, ...]:
+        """The raw outcomes with the virtual pair's replaced by their
+        balanced combinations; unchanged without a pair."""
+        out = list(outcomes)
+        if self.virtual_pair is not None:
+            j, k = self.virtual_pair
+            mj, mk = out[j - 1], out[k - 1]
+            out[j - 1] = (mj - mk) * SQRT2_INV
+            out[k - 1] = (mj + mk) * SQRT2_INV
+        return tuple(out)
 
     def matrix(self) -> ExactMatrix:
         return self.network().matrix()
@@ -203,11 +234,15 @@ def conventional_decomposition(name: str) -> Decomposition:
     maps QRL's slot-k row onto this layout's slot-k row, negated when the two
     slot signs differ.  An output parity that QRL lacks (or has alone) is a
     column negation on network input 4: input 4 is the ancilla half paired
-    with output mode 2.
+    with output mode 2.  Derived once per pair of entries.
     """
-    arch, reference = architecture(name), ARCHITECTURES["QRL"]
+    return _decomposition(architecture(name), ARCHITECTURES["QRL"])
+
+
+@functools.cache
+def _decomposition(arch: Architecture, reference: Architecture) -> Decomposition:
     if arch.gate_slots is None:
-        raise ValueError(f"{name} has no gate slots")
+        raise ValueError(f"{arch.name} has no gate slots")
     by_row = sorted(zip(arch.gate_slots, reference.gate_slots))
     return Decomposition(
         row_perm=tuple(ref_row for _, (ref_row, _) in by_row),
@@ -417,46 +452,9 @@ def check_finite_angles(angles: Sequence[float]) -> None:
             raise ValueError(f"theta_{i} = {angle!r} is not finite")
 
 
-@dataclass(frozen=True)
-class VirtualCompletionRule:
-    """Measurement-side completion by restriction and outcome rewiring.
-
-    Valid runs must measure the two ``pair`` modes at equal angles, up to a
-    whole turn, which is the same homodyne setting; the raw outcomes on that
-    pair are then replaced by their balanced combinations, after which the
-    statistics equal those of the physically completed architecture
-    ``completed``.
-    """
-
-    incomplete: str
-    completed: str
-    pair: Pair
-
-    def admits(self, angles: Sequence[float], tol: float = 1e-12) -> bool:
-        """Whether finite ``angles`` are equal on the pair, up to a whole turn."""
-        j, k = self.pair
-        return abs(math.remainder(angles[j - 1] - angles[k - 1], math.tau)) <= tol
-
-    def check_angles(self, angles: Sequence[float], tol: float = 1e-12) -> None:
-        check_finite_angles(angles)
-        if not self.admits(angles, tol):
-            j, k = self.pair
-            raise ValueError(
-                f"virtual completion of {self.incomplete} requires "
-                f"theta_{j} = theta_{k}"
-            )
-
-    def transform_outcomes(self, outcomes: Sequence[float]) -> tuple[float, ...]:
-        out = list(outcomes)
-        j, k = self.pair
-        mj, mk = out[j - 1], out[k - 1]
-        out[j - 1] = (mj - mk) * SQRT2_INV
-        out[k - 1] = (mj + mk) * SQRT2_INV
-        return tuple(out)
-
-
-def virtual_completion(name: str) -> VirtualCompletionRule:
-    """The virtual completion rule of an incomplete architecture.
+def virtual_completion(name: str) -> Architecture:
+    """The registry entry of an incomplete architecture, as the virtual
+    completion it measures: its restriction and rewiring are the entry's own.
 
     Raises for kind-b architectures (MBSL), which cannot be completed by
     restricting measurements: their missing splitter sits on the state side.
@@ -469,9 +467,7 @@ def virtual_completion(name: str) -> VirtualCompletionRule:
             f"{name} is of kind (b): it cannot be completed by restricting "
             "measurements"
         )
-    return VirtualCompletionRule(
-        incomplete=name, completed=arch.completed_by, pair=arch.virtual_pair
-    )
+    return arch
 
 
 # -- two-mode entangled-pair insertion ---------------------------------------

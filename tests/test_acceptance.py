@@ -225,13 +225,13 @@ def test_criterion_11_simulation_oracle():
     """Simulated input-output map matches the predicted gate within 1e-4."""
     names = ("QRL", "cBSL", "cDBSL", "cMSG", "cMBSL", "vcBSL", "vcDBSL", "vcMSG")
     for name in names:
-        arch, rule = gates.resolve_gate_architecture(name)
+        arch, lab = gates.resolve_gate_architecture(name)
         rng = np.random.default_rng(zlib.crc32(name.encode()))
         done = 0
         while done < 20:
             angles = rng.uniform(-math.pi, math.pi, size=4)
-            if rule is not None:
-                j, k = rule.pair
+            if lab.virtual_pair is not None:
+                j, k = lab.virtual_pair
                 angles[k - 1] = angles[j - 1]
             eff = [angles[idx - 1] for idx, _ in arch.gate_slots]
             try:

@@ -62,10 +62,10 @@ def reference_completion(incomplete, completed, angles, db, seed=0, input_state=
 def _restricted(name, angles):
     """``angles`` with the layout's equal-angle restriction imposed, or
     rejected when a V pair comes near equal angles mod pi."""
-    arch, rule = gates.resolve_gate_architecture(name)
+    arch, lab = gates.resolve_gate_architecture(name)
     angles = list(angles)
-    if rule is not None:
-        j, k = rule.pair
+    if lab.virtual_pair is not None:
+        j, k = lab.virtual_pair
         angles[k - 1] = angles[j - 1]
     eff = [angles[idx - 1] for idx, _ in arch.gate_slots]
     assume(abs(math.sin(eff[0] - eff[1])) >= 0.1)

@@ -34,9 +34,8 @@ GATE_NAMES = ("QRL", "cBSL", "cDBSL", "cMSG", "cMBSL", "vcBSL", "vcDBSL", "vcMSG
 
 def reference_two_mode_gate(name, angles):
     """(symplectic matrix, displacement rule) of the reference composition."""
-    arch, rule = resolve_gate_architecture(name)
-    if rule is not None:
-        rule.check_angles(angles)
+    arch, lab = resolve_gate_architecture(name)
+    lab.check_angles(angles)
     eff = [angles[idx - 1] for idx, _ in arch.gate_slots]
 
     def v(theta1, theta2):
@@ -54,9 +53,7 @@ def reference_two_mode_gate(name, angles):
         )
 
     def displacement(outcomes):
-        raw = tuple(float(m) for m in outcomes)
-        if rule is not None:
-            raw = rule.transform_outcomes(raw)
+        raw = lab.transform_outcomes(tuple(float(m) for m in outcomes))
         m = [sign * raw[idx - 1] for idx, sign in arch.gate_slots]
         mu_a = amplitude(eff[0], eff[1], m[0], m[1])
         mu_b = amplitude(eff[2], eff[3], m[2], m[3])
@@ -76,10 +73,10 @@ def reference_d(displacement):
 
 def conditioned_angles(name, angles):
     """Apply the vc restriction and keep each V pair 0.1 clear of equal angles."""
-    arch, rule = resolve_gate_architecture(name)
+    arch, lab = resolve_gate_architecture(name)
     angles = list(angles)
-    if rule is not None:
-        j, k = rule.pair
+    if lab.virtual_pair is not None:
+        j, k = lab.virtual_pair
         angles[k - 1] = angles[j - 1]
     eff = [angles[idx - 1] for idx, _ in arch.gate_slots]
     assume(abs(math.sin(eff[0] - eff[1])) >= 0.1)
@@ -114,12 +111,12 @@ def test_d_is_read_only():
 
 def _manifest_angles(name):
     """Fixed, well-conditioned angles for one gate name, restriction applied."""
-    arch, rule = resolve_gate_architecture(name)
+    arch, lab = resolve_gate_architecture(name)
     rng = np.random.default_rng(sum(map(ord, name)))
     while True:
         angles = rng.uniform(-math.pi, math.pi, size=4)
-        if rule is not None:
-            j, k = rule.pair
+        if lab.virtual_pair is not None:
+            j, k = lab.virtual_pair
             angles[k - 1] = angles[j - 1]
         eff = [angles[idx - 1] for idx, _ in arch.gate_slots]
         if min(abs(math.sin(eff[0] - eff[1])), abs(math.sin(eff[2] - eff[3]))) >= 0.1:

@@ -1,9 +1,10 @@
 """The registry entry a teleported gate carries, and what reads it.
 
 ``gates.two_mode_gate`` resolves a gate name once and keeps the completed
-layout, the virtual-completion rule and the lab layout on the gate; the
-gadget checks in ``sim`` read the lab network, the outcome rewiring and the
-output parity off those fields instead of resolving the name again.
+layout and the lab layout on the gate; the gadget checks in ``sim`` read the
+lab network, the outcome rewiring and the output parity off those entries
+instead of resolving the name again.  A virtual completion's lab layout is
+the incomplete entry itself, which carries its restriction and rewiring.
 """
 
 import dataclasses
@@ -32,11 +33,11 @@ GATE_ANGLES = {name: ANGLES for name in GATE_NAMES} | {
 @pytest.mark.parametrize("name", GATE_NAMES)
 def test_gate_carries_its_resolved_layout(name):
     gate = gates.two_mode_gate(name, GATE_ANGLES[name])
-    layout, rule = gates.resolve_gate_architecture(name)
+    layout, lab_layout = gates.resolve_gate_architecture(name)
     assert gate.layout == layout
-    assert gate.rule == rule
-    assert (gate.rule is None) == (not name.startswith("vc"))
-    assert gate.lab_layout == (layout if rule is None else zoo.architecture(rule.incomplete))
+    assert gate.lab_layout == lab_layout == zoo.architecture(name.removeprefix("vc"))
+    assert (lab_layout == layout) == (not name.startswith("vc"))
+    assert not hasattr(gate, "rule")
 
 
 def _noise_by_two_runs(arch_a, angles_a, arch_b, angles_b, db, parity_differs):

@@ -21,7 +21,6 @@ from foursplit.gates import (
     fourier,
     identity,
     map_reference_angles,
-    mapping_compatible,
     network_op,
     quadrature_covector,
     resolve_gate_architecture,
@@ -285,11 +284,11 @@ GATE_NAMES = ("QRL", "cBSL", "cDBSL", "cMSG", "cMBSL", "vcBSL", "vcDBSL", "vcMSG
 
 def _guarded_angles(rng, name):
     """Angle vectors whose local gates stay well-conditioned."""
-    _, rule = resolve_gate_architecture(name)
+    _, lab = resolve_gate_architecture(name)
     while True:
         angles = rng.uniform(-math.pi, math.pi, size=4)
-        if rule is not None:
-            j, k = rule.pair
+        if lab.virtual_pair is not None:
+            j, k = lab.virtual_pair
             angles[k - 1] = angles[j - 1]
         try:
             gate = two_mode_gate(name, tuple(angles))
@@ -397,9 +396,9 @@ class TestTeleportedGates:
     )
     @settings(max_examples=200, deadline=None)
     def test_gates_are_symplectic_property(self, name, angles):
-        arch, rule = resolve_gate_architecture(name)
-        if rule is not None:
-            j, k = rule.pair
+        arch, lab = resolve_gate_architecture(name)
+        if lab.virtual_pair is not None:
+            j, k = lab.virtual_pair
             angles[k - 1] = angles[j - 1]
         eff = [angles[idx - 1] for idx, _ in arch.gate_slots]
         # each V pair stays clear of equal angles mod pi, where V is undefined
@@ -420,7 +419,7 @@ class TestAngleMapping:
             "vcMSG": (1, 2, 4, 3),
         }
         for vc_name, perm in gates.vc_angle_maps().items():
-            completed = zoo.architecture(zoo.virtual_completion(vc_name[2:]).completed)
+            completed = zoo.architecture(zoo.virtual_completion(vc_name[2:]).completed_by)
             for slot, (angle_index, _) in enumerate(completed.gate_slots, start=1):
                 assert perm[angle_index - 1] == slot
 
@@ -428,30 +427,40 @@ class TestAngleMapping:
         assert map_reference_angles("vcBSL", (1.0, 2.0, 3.0, 4.0)) == (1.0, 2.0, 4.0, 3.0)
         assert map_reference_angles("vcDBSL", (1.0, 2.0, 3.0, 4.0)) == (1.0, 4.0, 2.0, 3.0)
 
+    def test_only_virtual_completions_map(self):
+        for name in ("QRL", "cBSL", "BSL", "vcMBSL"):
+            with pytest.raises(ValueError):
+                map_reference_angles(name, (1.0, 2.0, 3.0, 4.0))
+
     def test_swap_row_is_never_compatible(self):
         swap_angles = (0.0, HALF_PI, HALF_PI, 0.0)
-        assert not any(
-            mapping_compatible(vc, swap_angles) for vc in gates.vc_angle_maps()
-        )
+        assert not any(_compatible(vc, swap_angles) for vc in gates.vc_angle_maps())
 
     def test_cz_row_compatibility_pattern(self):
         cz_angles = (HALF_PI, HALF_PI + CHI, HALF_PI, HALF_PI - CHI)
-        assert mapping_compatible("vcBSL", cz_angles)
+        assert _compatible("vcBSL", cz_angles)
         turned = (cz_angles[0] + 2 * math.pi,) + tuple(cz_angles[1:])
-        assert mapping_compatible("vcBSL", turned)
+        assert _compatible("vcBSL", turned)
         half_turned = (cz_angles[0] + math.pi,) + tuple(cz_angles[1:])
-        assert not mapping_compatible("vcBSL", half_turned)
-        assert mapping_compatible("vcDBSL", cz_angles)
-        assert not mapping_compatible("vcMSG", cz_angles)
+        assert not _compatible("vcBSL", half_turned)
+        assert _compatible("vcDBSL", cz_angles)
+        assert not _compatible("vcMSG", cz_angles)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("vc_name", sorted(gates.vc_angle_maps()))
     def test_non_finite_angle_refused_by_name(self, vc_name, bad):
+        perm = gates.vc_angle_maps()[vc_name]
         for position in range(1, 5):
             angles = [HALF_PI, HALF_PI + CHI, HALF_PI, HALF_PI - CHI]
             angles[position - 1] = bad
-            with pytest.raises(ValueError, match=re.escape(f"theta_{position} = {bad!r} is not finite")):
-                mapping_compatible(vc_name, angles)
+            mapped = perm.index(position) + 1  # where the reference angle lands
+            with pytest.raises(ValueError, match=re.escape(f"theta_{mapped} = {bad!r} is not finite")):
+                zoo.virtual_completion(vc_name[2:]).check_angles(map_reference_angles(vc_name, angles))
+
+
+def _compatible(vc_name, qrl_angles):
+    """Whether the mapped reference angles meet the vc layout's restriction."""
+    return zoo.virtual_completion(vc_name[2:]).admits(map_reference_angles(vc_name, qrl_angles))
 
 
 @pytest.fixture(scope="module")
@@ -635,9 +644,9 @@ def test_v_gate_disagreement_is_value_error():
 @settings(max_examples=300, deadline=None)
 def test_near_singular_band_is_symplectic_or_refused(name, angles, v_pair, log_gap, sign, turns):
     # one V pair sits between SINGULAR_TOL and 0.1 apart mod pi
-    arch, rule = resolve_gate_architecture(name)
-    restricted = () if rule is None else rule.pair
-    if rule is not None:
+    arch, lab = resolve_gate_architecture(name)
+    restricted = lab.virtual_pair or ()
+    if restricted:
         angles[restricted[1] - 1] = angles[restricted[0] - 1]
     first, second = (idx for idx, _ in arch.gate_slots[2 * v_pair: 2 * v_pair + 2])
     if second in restricted:  # move the unrestricted angle of the pair

@@ -469,9 +469,9 @@ OUTCOMES = st.lists(st.floats(-5.0, 5.0), min_size=4, max_size=4)
 )
 @settings(max_examples=100, deadline=None)
 def test_output_covariance_ignores_outcomes_property(name, angles, db, first, second):
-    arch, rule = gates.resolve_gate_architecture(name)
-    if rule is not None:
-        j, k = rule.pair
+    arch, lab = gates.resolve_gate_architecture(name)
+    if lab.virtual_pair is not None:
+        j, k = lab.virtual_pair
         angles[k - 1] = angles[j - 1]
     eff = [angles[idx - 1] for idx, _ in arch.gate_slots]
     # each V pair stays clear of equal angles mod pi, where V is undefined
@@ -634,8 +634,8 @@ class TestVirtualCompletionExperiments:
 @settings(max_examples=100, deadline=None)
 def test_virtual_completion_equivalent_for_random_restricted_angles(case, angles, db, seed):
     incomplete, completed, _ = case
-    arch, rule = gates.resolve_gate_architecture("vc" + incomplete)
-    j, k = rule.pair
+    arch, lab = gates.resolve_gate_architecture("vc" + incomplete)
+    j, k = lab.virtual_pair
     angles[k - 1] = angles[j - 1]
     eff = [angles[idx - 1] for idx, _ in arch.gate_slots]
     # each V pair stays clear of equal angles mod pi, where V is undefined

@@ -193,10 +193,10 @@ class TestIncompleteness:
 
 class TestVirtualCompletion:
     def test_rules(self):
-        assert virtual_completion("BSL").pair == (1, 4)
-        assert virtual_completion("DBSL").pair == (1, 4)
-        assert virtual_completion("MSG").pair == (2, 3)
-        assert virtual_completion("BSL").completed == "cBSL"
+        assert virtual_completion("BSL").virtual_pair == (1, 4)
+        assert virtual_completion("DBSL").virtual_pair == (1, 4)
+        assert virtual_completion("MSG").virtual_pair == (2, 3)
+        assert virtual_completion("BSL").completed_by == "cBSL"
 
     def test_equal_angle_restriction_enforced(self):
         rule = virtual_completion("MSG")
