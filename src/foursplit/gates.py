@@ -189,7 +189,6 @@ def network_op(net: BsNetwork) -> SymplecticOp:
     return SymplecticOp(mat)
 
 
-
 # -- convention checks --------------------------------------------------------
 
 
@@ -788,9 +787,7 @@ def verify_circuit_identities(tol: float = 1e-12) -> IdentitiesReport:
         dev = max(dev, float(np.abs(lhs - rhs).max()))
     devs["rotated_measurement_as_shear"] = dev
 
-    from .zoo import bell_pair_insertion_identity
-
-    exact = bell_pair_insertion_identity().swap_lemma_holds
+    exact = zoo.bell_pair_insertion_identity().swap_lemma_holds
     return IdentitiesReport(deviations=devs, tol=tol, swap_double_splitter_exact=exact)
 
 

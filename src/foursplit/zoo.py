@@ -111,8 +111,7 @@ class Architecture:
         if self.virtual_pair is not None:
             j, k = self.virtual_pair
             mj, mk = out[j - 1], out[k - 1]
-            out[j - 1] = (mj - mk) * SQRT2_INV
-            out[k - 1] = (mj + mk) * SQRT2_INV
+            out[j - 1], out[k - 1] = (mj - mk) * SQRT2_INV, (mj + mk) * SQRT2_INV
         return tuple(out)
 
     def matrix(self) -> ExactMatrix:

@@ -297,6 +297,21 @@ class TestSimulateCommand:
         assert set(json.loads(out)) == {"error"}
 
     @pytest.mark.parametrize(
+        "argv,detail",
+        [
+            (("verify", "noise", "--db", "68"), "< 1/2): float64 rounding at 68 dB"),
+            (("simulate", "QRL", "pi/2", "0", "pi/2", "0", "--outcomes", "0,0,0,0", "--db", "70"),
+             "< 1/2): float64 rounding at 70 dB"),
+        ],
+        ids=["verify_noise_68dB", "simulate_70dB"],
+    )
+    def test_rounding_at_strong_squeezing_is_named(self, capsys, argv, detail):
+        code, out = run_cli(capsys, *argv)
+        assert code == PRECONDITION_ERROR
+        manifest = json.loads(out)
+        assert set(manifest) == {"error"} and detail in manifest["error"]
+
+    @pytest.mark.parametrize(
         "flag,value",
         [
             ("--outcomes", "0,0,0"),

@@ -46,8 +46,8 @@ def reference_noise_compare(arch_a, angles_a, arch_b, angles_b, db, input_state=
 def reference_completion(incomplete, completed, angles, db, seed=0, input_state=None):
     """(mean deviation, covariance deviation) of the sampled virtual run
     and the completed network replayed on its processed outcomes."""
-    if input_state is None:
-        rng = np.random.default_rng(seed)
+    if input_state is None:  # the mean's stream is independent of the outcomes'
+        rng = np.random.default_rng((seed, 1))
         input_state = GaussianState(2, rng.normal(0.0, 1.0, 4), 0.5 * np.eye(4))
     virtual = simulate_gadget("vc" + incomplete, angles, db, input_state, seed=seed)
     replay = simulate_gadget(completed, angles, db, input_state, outcomes=virtual.processed_outcomes)
@@ -226,6 +226,32 @@ DB_RUNS = {
 def test_squeezing_refusals_kept(run, db, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         run(db)
+
+
+ROUNDING = "float64 rounding at {db:g} dB of ancilla squeezing; the exact state is valid"
+
+
+@pytest.mark.parametrize("db", [70.0, 90.0, 400.0])
+@pytest.mark.parametrize("run", DB_RUNS.values(), ids=DB_RUNS.keys())
+def test_rounding_at_strong_squeezing_is_named(run, db):
+    # every gadget covariance is a symplectic image of valid states: what
+    # breaks the uncertainty check past ~65 dB is float64 rounding
+    with pytest.raises(ValueError, match="^covariance violates the uncertainty relation") as refused:
+        run(db)
+    assert str(refused.value).endswith(": " + ROUNDING.format(db=db))
+
+
+def test_rounding_not_claimed_behind_a_non_symplectic_network(monkeypatch):
+    _networks(monkeypatch, {"cDBSL": 0.5 * np.eye(12)})
+    with pytest.raises(ValueError) as refused:
+        noise_compare("QRL", GOOD, "cDBSL", (0.5, 1.2, -0.9, 0.5), 10.0)
+    assert str(refused.value) == SCALED_STATE
+
+
+def test_user_state_keeps_its_message():
+    with pytest.raises(ValueError) as refused:
+        GaussianState(2, np.zeros(4), 0.1 * np.eye(4))
+    assert "rounding" not in str(refused.value)
 
 
 # -- the oracle ---------------------------------------------------------------

@@ -624,6 +624,24 @@ class TestVirtualCompletionExperiments:
         with pytest.raises(ValueError, match="kind"):
             virtual_completion_experiment("MBSL", "cMBSL", (0.5, 0.5, 0.5, 0.5), 10.0)
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_default_input_mean_is_not_the_outcome_noise(self, seed, monkeypatch):
+        # the virtual run draws its white noise from default_rng(seed), as
+        # simulate_gadget does; the default input mean must not repeat it
+        means = []
+        prepare = sim._prepare
+
+        def spy(gate, db, input_state, *rest):
+            means.append(input_state.mean.copy())
+            return prepare(gate, db, input_state, *rest)
+
+        monkeypatch.setattr(sim, "_prepare", spy)
+        exp = virtual_completion_experiment("BSL", "cBSL", (0.8, -0.4, 1.1, 0.8), 10.0, seed=seed)
+        white = np.random.default_rng(seed).standard_normal(4)
+        assert len(means) == 2 and np.array_equal(means[0], means[1])
+        assert np.abs(means[0] - white).min() > 1e-3
+        assert max(exp.mean_deviation, exp.cov_deviation) < 1e-9
+
 
 @given(
     st.sampled_from(sim.COMPLETION_CASES),

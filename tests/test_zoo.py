@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from foursplit import zoo
 from foursplit.exact import ExactMatrix, ExactScalar, beam_splitter_matrix
@@ -232,6 +233,24 @@ class TestVirtualCompletion:
     def test_complete_architectures_refused(self):
         with pytest.raises(ValueError):
             virtual_completion("QRL")
+
+
+@given(
+    st.sampled_from(sorted(zoo.ARCHITECTURES)),
+    st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=4),
+)
+def test_rewiring_is_an_orthogonal_linear_map(name, outcomes):
+    # the gate's routing matrix is built from unit vectors, and the virtual
+    # completion needs the rewiring to keep white noise white
+    entry = zoo.ARCHITECTURES[name]
+    t = np.array([entry.transform_outcomes(e) for e in np.eye(4)]).T
+    scale = max(1.0, *map(abs, outcomes))
+    assert np.abs(np.array(entry.transform_outcomes(outcomes)) - t @ outcomes).max() <= 1e-15 * scale
+    assert np.abs(t @ t.T - np.eye(4)).max() <= 1e-15
+    if entry.virtual_pair is None:
+        assert np.array_equal(t, np.eye(4))
+    else:
+        assert not np.array_equal(t, np.eye(4))
 
 
 class TestNoCompletionScan:
