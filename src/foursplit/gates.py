@@ -447,7 +447,7 @@ def map_reference_angles(vc_name: str, qrl_angles: Sequence[float]) -> tuple[flo
     if not vc_name.startswith("vc"):
         raise ValueError(f"{vc_name} is not a virtually completed architecture")
     layout, _ = resolve_gate_architecture(vc_name)
-    return tuple(qrl_angles[i - 1] for i in zoo.conventional_decomposition(layout.name).row_perm)
+    return tuple([qrl_angles[i - 1] for i in zoo.conventional_decomposition(layout.name).row_perm])
 
 
 def dictionary_rows() -> list[tuple[dict, str, tuple[float, ...]]]:

@@ -248,12 +248,6 @@ def test_rounding_not_claimed_behind_a_non_symplectic_network(monkeypatch):
     assert str(refused.value) == SCALED_STATE
 
 
-def test_user_state_keeps_its_message():
-    with pytest.raises(ValueError) as refused:
-        GaussianState(2, np.zeros(4), 0.1 * np.eye(4))
-    assert "rounding" not in str(refused.value)
-
-
 # -- the oracle ---------------------------------------------------------------
 
 
