@@ -20,7 +20,7 @@ conditional covariance it returns, as :class:`GaussianState` validates
 one; the states it hands out are built from those without a second check.
 The ancilla variances come from the squeezing in closed form, under the
 same input checks as :func:`squeezed_vacuum`.  Past ~65 dB, float64
-rounding of the gadget's covariances fails those checks, and the error
+rounding can make a gadget covariance fail its validation; the error then
 names the squeezing level and the rounding.
 """
 
