@@ -37,7 +37,6 @@ def test_gate_carries_its_resolved_layout(name):
     assert gate.layout == layout
     assert gate.lab_layout == lab_layout == zoo.architecture(name.removeprefix("vc"))
     assert (lab_layout == layout) == (not name.startswith("vc"))
-    assert not hasattr(gate, "rule")
 
 
 def _noise_by_two_runs(arch_a, angles_a, arch_b, angles_b, db, parity_differs):
