@@ -77,30 +77,21 @@ def _normalize_gate_name(name: str) -> str:
 
 
 def _subject_theorem1(args: argparse.Namespace) -> tuple[bool, dict]:
-    enumerated = hadamard.enumerate_hadamard4()
-    members = sorted(enumerated)
-    parities = hadamard.class_parities(np.array(members, dtype=np.int8).reshape(-1, 4, 4))
-    even = int((parities == 0).sum())
-    odd = len(enumerated) - even
-    generated = hadamard.generate_class()
-    rng = np.random.default_rng(args.seed)
-    seeds_ok = True
-    for idx in rng.choice(len(members), size=10, replace=False):
-        if hadamard.generate_class(seed=members[idx]) != enumerated:
-            seeds_ok = False
+    keys = hadamard.enumerate_sign_orthogonal(4)
+    members = hadamard.from_keys(keys)
+    even = int((hadamard.class_parities(members) == 0).sum())
+    odd = len(keys) - even
+    drawn = np.random.default_rng(args.seed).choice(len(keys), size=10, replace=False)
+    seeds = np.concatenate([hadamard.to_array(hadamard.seed_matrix())[None], members[drawn]])
+    matches = [np.array_equal(generated, keys) for generated in hadamard.generated_keys(seeds)]
     report = {
-        "class_size": len(enumerated),
+        "class_size": len(keys),
         "even": even,
         "odd": odd,
-        "generation_matches": generated == enumerated,
-        "seed_independent": seeds_ok,
+        "generation_matches": matches[0],
+        "seed_independent": all(matches[1:]),
     }
-    passed = (
-        len(enumerated) == 768
-        and even == odd == 384
-        and report["generation_matches"]
-        and seeds_ok
-    )
+    passed = len(keys) == 768 and even == odd == 384 and all(matches)
     return passed, report
 
 

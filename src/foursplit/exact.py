@@ -9,7 +9,7 @@ so products, transposes and equality tests of such matrices can be carried
 out without any floating point arithmetic.  This is the one kernel for that
 ring: :class:`ExactMatrix` holds int64 parts ``A``, ``B`` at one exponent ``m``,
 :func:`ring_matmul` multiplies single or stacked parts, and
-:func:`signs_of_halves` reads the signs of balanced matrices exactly.
+:func:`magnitude_mask` reads entry magnitudes exactly from the parts.
 :class:`ExactScalar` is the entry view, serializer and reference arithmetic.
 """
 
@@ -135,7 +135,6 @@ class ExactScalar:
 
 
 INV_SQRT2 = ExactScalar.inv_sqrt2()
-HALF = ExactScalar(1, 0, 2)
 
 
 def ring_matmul(a1: np.ndarray, b1: np.ndarray, a2: np.ndarray, b2: np.ndarray) -> tuple:
@@ -153,14 +152,19 @@ def ring_matmul(a1: np.ndarray, b1: np.ndarray, a2: np.ndarray, b2: np.ndarray) 
     return a1 @ a2 + 2 * (b1 @ b2), a1 @ b2 + b1 @ a2
 
 
-def signs_of_halves(a: np.ndarray, b: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(mask, signs): which (stacked) matrices have every entry +-1/2, and 2R there.
+def magnitude_mask(a: np.ndarray, b: np.ndarray, m: int, k: int) -> np.ndarray:
+    """Which entries of (A + B*sqrt2)/sqrt2**m equal +-1/sqrt2**k, for single or
+    stacked parts.  At exponent m that value has parts (+-2**((m-k)/2), 0) for
+    even m - k and (0, +-2**((m-k-1)/2)) for odd m - k; below m = k nothing
+    matches (the -1 below)."""
+    big, small = (a, b) if (m - k) % 2 == 0 else (b, a)
+    return (np.abs(big) == (1 << (m - k) // 2 if m >= k else -1)) & (small == 0)
 
-    At exponent m, 1/2 has parts (2**((m-2)/2), 0) for even m and (0, 2**((m-3)/2))
-    for odd m; below m = 2 no magnitude matches (the -1 below)."""
-    rational, irrational = (a, b) if m % 2 == 0 else (b, a)
-    ok = (np.abs(rational) == (1 << (m - 2) // 2 if m >= 2 else -1)).all(axis=(-2, -1))
-    return ok & (irrational == 0).all(axis=(-2, -1)), np.sign(rational).astype(np.int8)
+
+def signs_of_halves(a: np.ndarray, b: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(mask, signs): which (stacked) matrices have every entry +-1/2, and 2R there."""
+    signs = np.sign(a if m % 2 == 0 else b).astype(np.int8)
+    return magnitude_mask(a, b, m, 2).all(axis=(-2, -1)), signs
 
 
 def _assign(mat: ExactMatrix, a: np.ndarray, b: np.ndarray, m: int) -> ExactMatrix:

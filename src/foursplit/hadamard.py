@@ -7,14 +7,15 @@ and one column negation, and counts how many (network class, left signed
 permutation, right column negation) triples realize each member.
 
 Matrices are passed around as flat row-major tuples of +-1 (hashable, cheap
-set membership) with converters to numpy and exact form.
+set membership) with converters to numpy and exact form.  Whole-class work
+reads 16-bit keys instead: bit k is set where row-major entry k is -1.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from typing import Iterable
 
 import numpy as np
@@ -35,6 +36,18 @@ def from_array(arr: np.ndarray) -> SignMatrix:
     return tuple(int(v) for v in np.asarray(arr, dtype=np.int64).ravel())
 
 
+def pack_keys(mats: np.ndarray) -> np.ndarray:
+    """The keys of 4x4 sign matrices (..., 4, 4), shape (...)."""
+    bits = (np.asarray(mats) < 0).reshape(*np.shape(mats)[:-2], 16).astype(np.uint32)
+    return bits @ (1 << np.arange(16, dtype=np.uint32))
+
+
+def from_keys(keys: np.ndarray) -> np.ndarray:
+    """The 4x4 sign matrices (k, 4, 4) of k keys, as int8."""
+    bits = (np.asarray(keys)[:, None] >> np.arange(16)) & 1
+    return (1 - 2 * bits).astype(np.int8).reshape(-1, 4, 4)
+
+
 def sign_string(h: SignMatrix) -> str:
     return "".join("+" if v > 0 else "-" for v in h)
 
@@ -53,34 +66,31 @@ def seed_matrix() -> SignMatrix:
     )
 
 
-def enumerate_sign_orthogonal(n: int) -> frozenset[SignMatrix]:
-    """All n x n sign matrices with pairwise orthogonal rows, by brute force.
+def enumerate_sign_orthogonal(n: int) -> np.ndarray:
+    """Keys of all n x n sign matrices with pairwise orthogonal rows, ascending.
 
     Sweeps all 2**(n*n) sign patterns; sizes are 2, 8, 768 for n = 1, 2, 4.
     Limited to 1 <= n <= 4 (at most 65,536 candidates).  Bit k of a pattern
-    is entry k in row-major order (set bit = -1), so each pattern is n
-    indices into the 2**n sign rows, and its Gram entries are read from the
-    2**n x 2**n table of row inner products: n on the diagonal, 0 off it.
-    No pattern is expanded to a matrix until it has passed.
+    is entry k in row-major order (set bit = -1), so a pattern is n indices
+    into the 2**n sign rows and, for n = 4, its matrix's key.  A sign row's
+    square norm is always n, so only the off-diagonal Gram entries are read,
+    from one flat table of orthogonal row pairs.
     """
     if not 1 <= n <= 4:
         raise ValueError(f"brute force enumeration limited to 1 <= n <= 4, got {n}")
     rows = 1 - 2 * ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)  # (2**n, n)
-    gram = (rows @ rows.T).astype(np.int8)
+    orthogonal = (rows @ rows.T == 0).ravel()
     patterns = np.arange(1 << (n * n), dtype=np.uint16)
     picks = [(patterns >> (n * i)) & ((1 << n) - 1) for i in range(n)]
     ok = np.ones(len(patterns), dtype=bool)
-    for i in range(n):
-        ok &= gram[picks[i], picks[i]] == n
-        for k in range(i + 1, n):
-            ok &= gram[picks[i], picks[k]] == 0
-    members = rows[np.stack(picks, axis=-1)[ok]]  # (members, n, n)
-    return frozenset(map(tuple, members.reshape(-1, n * n).tolist()))
+    for i, k in combinations(range(n), 2):
+        ok &= orthogonal[(picks[i] << n) | picks[k]]
+    return patterns[ok]
 
 
 def enumerate_hadamard4() -> frozenset[SignMatrix]:
     """The full 4x4 class; contains 768 matrices."""
-    return enumerate_sign_orthogonal(4)
+    return frozenset(map(tuple, from_keys(enumerate_sign_orthogonal(4)).reshape(-1, 16).tolist()))
 
 
 def class_parities(members: np.ndarray) -> np.ndarray:
@@ -103,14 +113,36 @@ def class_parity(h: SignMatrix) -> int:
 @functools.cache
 def _signed_row_perms() -> np.ndarray:
     """All 4! * 2**4 = 384 signed permutation matrices, by permutation, then
-    row signs (+1 first), shape (384, 4, 4).  Built once and read-only: the
-    one orbit that generation, the realization census and the reference
-    decompositions share."""
+    row signs (+1 first), shape (384, 4, 4).  Built once and read-only; only
+    :func:`signed_orbit` multiplies sign matrices by them."""
     perms = np.eye(4, dtype=np.int16)[list(permutations(range(4)))]  # (24, 4, 4)
     signs = np.array(list(product((1, -1), repeat=4)), dtype=np.int16)  # (16, 4)
     mats = (perms[:, None] * signs[None, :, :, None]).reshape(-1, 4, 4)
     mats.setflags(write=False)
     return mats
+
+
+def signed_orbit(mats: np.ndarray, column_signs: np.ndarray) -> np.ndarray:
+    """Every signed row permutation of each of k sign matrices, with its
+    columns signed by each of c sign vectors: ``out[i, l, j]`` is
+    ``P_l @ mats[i] @ diag(column_signs[j])``, shape (k, 384, c, 4, 4), with
+    l in :func:`_signed_row_perms` order.  The one orbit that generation, the
+    realization census and the reference decompositions share."""
+    rows = _signed_row_perms() @ np.asarray(mats, dtype=np.int16)[:, None]  # (k, 384, 4, 4)
+    return rows[:, :, None] * np.asarray(column_signs, dtype=np.int16)[:, None, :]
+
+
+def generated_keys(seeds: np.ndarray, negate_column: int = 4) -> np.ndarray:
+    """Sorted keys of the 768 products each of k seeds (k, 4, 4) generates:
+    its signed row permutations, then the same with one column negated.
+    Shape (k, 768); a seed generates the class iff its row equals the
+    class's keys."""
+    if not (1 <= negate_column <= 4):
+        raise ValueError(f"column {negate_column} out of range")
+    signs = np.ones((2, 4), dtype=np.int16)
+    signs[1, negate_column - 1] = -1
+    keys = pack_keys(signed_orbit(seeds, signs))
+    return np.sort(keys.reshape(len(keys), -1), axis=1)
 
 
 def generate_class(
@@ -123,14 +155,9 @@ def generate_class(
     (1-based) is arbitrary: any column yields the identical set, and the two
     halves of the union are exactly the even- and odd-parity members.
     """
-    h = to_array(seed if seed is not None else seed_matrix()).astype(np.int16)
-    if not (1 <= negate_column <= 4):
-        raise ValueError(f"column {negate_column} out of range")
-    orbit = _signed_row_perms() @ h  # (384, 4, 4)
-    flipped = orbit.copy()
-    flipped[:, :, negate_column - 1] *= -1
-    both = np.concatenate([orbit, flipped])
-    return frozenset(map(tuple, both.reshape(-1, 16).tolist()))
+    h = to_array(seed if seed is not None else seed_matrix())
+    keys = generated_keys(h[None], negate_column)[0]
+    return frozenset(map(tuple, from_keys(keys).reshape(-1, 16).tolist()))
 
 
 @dataclass
@@ -151,16 +178,6 @@ class RealizationCensus:
         return set(self.counts.values())
 
 
-def _pack_keys(mats: np.ndarray) -> np.ndarray:
-    """Map sign matrices (..., 4, 4) to 16-bit integer keys."""
-    bits = (mats.reshape(-1, 16) < 0).astype(np.uint32)
-    return bits @ (1 << np.arange(16, dtype=np.uint32))
-
-
-def _key_to_sign_string(key: int) -> str:
-    return "".join("-" if (key >> i) & 1 else "+" for i in range(16))
-
-
 def realization_census(network_matrices: Iterable[ExactMatrix]) -> RealizationCensus:
     """Count realizations of each class member over the physical networks.
 
@@ -175,14 +192,10 @@ def realization_census(network_matrices: Iterable[ExactMatrix]) -> RealizationCe
         if doubled is None:
             raise ValueError("network matrix is not a balanced four-splitter")
         phys.append(doubled)
-    phys_arr = np.stack(phys)  # (96, 4, 4)
-    lefts = _signed_row_perms()  # (384, 4, 4)
-    prods = lefts[:, None] @ phys_arr[None, :]  # (384, 96, 4, 4)
-    flipped = prods.copy()
-    flipped[..., 3] *= -1
-    keys = np.concatenate([_pack_keys(prods), _pack_keys(flipped)])
+    keys = generated_keys(np.stack(phys))  # (96, 768)
     uniq, cnt = np.unique(keys, return_counts=True)
-    counts = {_key_to_sign_string(int(k)): int(c) for k, c in zip(uniq, cnt)}
+    members = from_keys(uniq).reshape(-1, 16).tolist()
+    counts = {sign_string(h): int(c) for h, c in zip(members, cnt)}
     return RealizationCensus(
         total_products=int(keys.size),
         distinct_results=len(uniq),

@@ -33,16 +33,14 @@ from typing import Sequence
 import numpy as np
 
 from .exact import (
-    HALF,
-    INV_SQRT2,
     ExactMatrix,
-    ExactScalar,
     beam_splitter_matrix,
+    magnitude_mask,
     negation_matrix,
     permutation_matrix,
     swap_matrix,
 )
-from .hadamard import _signed_row_perms
+from .hadamard import _signed_row_perms, pack_keys, signed_orbit
 from .networks import BsNetwork, Pair, is_balanced_foursplitter
 
 SQRT2_INV = 2 ** -0.5
@@ -267,8 +265,8 @@ def qrl_decomposition(name: str) -> tuple[Decomposition, list[Decomposition]]:
     ref = architecture_matrix("QRL")
     lefts = _signed_row_perms()  # (384, 4, 4)
     col_signs = np.array(list(product((1, -1), repeat=4)))  # (16, 4)
-    candidates = (lefts @ ref.doubled_signs())[:, None] * col_signs[None, :, None, :]
-    hits = (candidates == target.doubled_signs()).all(axis=(2, 3))  # (384, 16)
+    orbit = pack_keys(signed_orbit(ref.doubled_signs()[None], col_signs))[0]  # (384, 16)
+    hits = orbit == pack_keys(target.doubled_signs())
     solutions = [
         Decomposition(
             row_perm=tuple(int(p) + 1 for p in np.abs(lefts[li]).argmax(axis=1)),
@@ -288,38 +286,26 @@ def qrl_decomposition(name: str) -> tuple[Decomposition, list[Decomposition]]:
 # -- incompleteness ----------------------------------------------------------
 
 
-def _line_pattern(line: Sequence[ExactScalar]) -> str | None:
-    """Classify a row/column: 'mixing' (two 0, two +-1/sqrt2), 'balanced'
-    (all +-1/2), or None."""
-    zeros = sum(1 for x in line if x.is_zero())
-    isq = sum(1 for x in line if x == INV_SQRT2 or x == -INV_SQRT2)
-    halves = sum(1 for x in line if x == HALF or x == -HALF)
-    if zeros == 2 and isq == 2:
-        return "mixing"
-    if halves == len(line):
-        return "balanced"
-    return None
-
-
 def classify_incompleteness(mat: ExactMatrix) -> str:
     """Return 'complete', 'a' (pattern in rows) or 'b' (pattern in columns).
 
     A complete matrix is a balanced four-splitter.  An incomplete one must
     show exactly two mixing lines (two zeros and two entries of magnitude
-    1/sqrt(2)) on one side with all other lines balanced; anything else is
-    outside the classification and raises.
+    1/sqrt(2)) on one side with all other lines balanced (every entry of
+    magnitude 1/2); anything else is outside the classification and raises.
     """
     if mat.n != 4:
         raise ValueError("classification applies to 4x4 matrices")
     if is_balanced_foursplitter(mat):
         return "complete"
-    rows = [_line_pattern(r) for r in mat.rows]
-    cols = [_line_pattern(c) for c in mat.transpose().rows]
+    zeros = (mat.A == 0) & (mat.B == 0)
+    isq, half = (magnitude_mask(mat.A, mat.B, mat.m, k) for k in (1, 2))
 
-    def shape(kinds: list[str | None]) -> bool:
-        return kinds.count("mixing") == 2 and kinds.count("balanced") == 2
+    def shape(axis: int) -> bool:
+        mixing = (zeros.sum(axis) == 2) & (isq.sum(axis) == 2)
+        return mixing.sum() == 2 and half.all(axis).sum() == 2
 
-    row_hit, col_hit = shape(rows), shape(cols)
+    row_hit, col_hit = shape(1), shape(0)
     if row_hit == col_hit:
         raise ValueError("matrix does not match the one-missing-splitter pattern")
     return "a" if row_hit else "b"
@@ -347,12 +333,11 @@ def residual_analysis(incomplete: str, completed: str) -> ResidualReport:
     r_inc = architecture_matrix(incomplete)
     r_comp = architecture_matrix(completed)
     residual = r_inc @ r_comp.transpose()
-    zeros = sum(1 for row in residual.rows for x in row if x.is_zero())
     return ResidualReport(
         incomplete=incomplete,
         completed=completed,
         residual=residual,
-        zero_entries=zeros,
+        zero_entries=int(((residual.A == 0) & (residual.B == 0)).sum()),
         kind=classify_incompleteness(r_inc),
     )
 

@@ -4,7 +4,9 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import warnings
 
@@ -474,3 +476,27 @@ def test_every_command_line_exits_cleanly_with_strict_json(argv):
         assert not tokens & NON_FINITE, argv
     else:
         strict_json(stdout.getvalue())
+
+
+def test_verify_all_never_imports_numpy_ma():
+    # np.unique(x) without return flags imports numpy.ma on its first call,
+    # which adds 11-15 ms to a fresh process (numpy 2.4, 2-core Xeon)
+    code = (
+        "import contextlib, io, sys\n"
+        "from foursplit import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = cli.main(['verify', 'all'])\n"
+        "print(status, 'numpy.ma' in sys.modules)\n"
+    )
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    )
+    status, imported = run.stdout.split()
+    assert status in ("0", "1")
+    assert imported == "False"

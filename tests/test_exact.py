@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from foursplit.exact import (
     INV_SQRT2,
     ExactMatrix,
     ExactScalar,
     beam_splitter_matrix,
+    magnitude_mask,
     negation_matrix,
     permutation_matrix,
     ring_matmul,
@@ -20,6 +22,8 @@ from foursplit.exact import (
 small_ints = st.integers(min_value=-40, max_value=40)
 small_exps = st.integers(min_value=0, max_value=6)
 scalars = st.builds(ExactScalar, small_ints, small_ints, small_exps)
+#: Parts that are mostly zero or +-2**j, so that magnitude matches are common.
+parts = st.one_of(st.sampled_from([0, 0, 0, 0, 1, -1, 2, -2, 4, -4, 8, -8]), small_ints)
 
 
 def square_rows(n):
@@ -189,6 +193,31 @@ class TestExactMatrix:
         assert np.array_equal(half.doubled_signs(), signs)
         assert ExactMatrix.from_ints(signs).doubled_signs() is None
         assert beam_splitter_matrix(4, 1, 2).doubled_signs() is None
+
+    @given(
+        st.sampled_from([(4, 4), (3, 3), (5, 4, 4), (2, 3, 4, 4)]).flatmap(
+            lambda shape: st.tuples(*[hnp.arrays(np.int64, shape, elements=parts)] * 2)
+        ),
+        small_exps,
+        st.integers(min_value=0, max_value=4),
+    )
+    def test_magnitude_mask_matches_entry_view(self, ab, m, k):
+        a, b = ab
+        target = ExactScalar(1, 0, k)
+        entries = zip(a.ravel().tolist(), b.ravel().tolist())
+        reference = [abs(ExactScalar(x, y, m)) == target for x, y in entries]
+        mask = magnitude_mask(a, b, m, k)
+        assert mask.shape == a.shape
+        assert mask.ravel().tolist() == reference
+
+    def test_magnitude_mask_examples(self):
+        signs = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
+        half = ExactMatrix.from_ints(2 * signs, 4)  # canonical at m = 2
+        assert magnitude_mask(half.A, half.B, half.m, 2).all()
+        assert not magnitude_mask(half.A, half.B, half.m, 1).any()
+        bs = beam_splitter_matrix(3, 1, 3)  # 1/sqrt2 on modes 1, 3; 1 on mode 2
+        assert magnitude_mask(bs.A, bs.B, bs.m, 1).tolist() == [[1, 0, 1], [0, 0, 0], [1, 0, 1]]
+        assert magnitude_mask(bs.A, bs.B, bs.m, 0).tolist() == [[0, 0, 0], [0, 1, 0], [0, 0, 0]]
 
     def test_text_rows_literal(self):
         zero, one, isq, neg = "(0+0√2)/√2^0", "(1+0√2)/√2^0", "(1+0√2)/√2^1", "(-1+0√2)/√2^1"

@@ -35,20 +35,24 @@ def test_order_four_count():
 
 
 def _full_gram_brute_force(n):
-    """Reference: every sign pattern as an (n, n) array, all Grams at once."""
+    """Reference: every sign pattern as an (n, n) array, all Grams at once.
+    Returns the passing patterns' indices (bit k set = entry k is -1) and
+    their matrices."""
     count = 1 << (n * n)
     bits = (np.arange(count, dtype=np.uint32)[:, None] >> np.arange(n * n)) & 1
     signs = (1 - 2 * bits).astype(np.int16).reshape(count, n, n)
     gram = signs @ signs.transpose(0, 2, 1)
     ok = (gram == n * np.eye(n, dtype=np.int16)).all(axis=(1, 2))
-    return frozenset(map(tuple, signs[ok].reshape(-1, n * n).tolist()))
+    return np.flatnonzero(ok), signs[ok]
 
 
 @pytest.mark.parametrize("n,size", [(1, 2), (2, 8), (3, 0), (4, 768)])
 def test_enumeration_equals_full_gram_brute_force(n, size):
-    reference = _full_gram_brute_force(n)
-    assert len(reference) == size
-    assert enumerate_sign_orthogonal(n) == reference
+    keys, members = _full_gram_brute_force(n)
+    assert len(keys) == size
+    assert np.array_equal(enumerate_sign_orthogonal(n), keys)
+    if n == 4:
+        assert np.array_equal(hadamard.from_keys(keys), members)
 
 
 def test_seed_is_member():
@@ -81,6 +85,27 @@ def test_generation_seed_independent():
 def test_generation_column_choice_independent():
     for col in (1, 2, 3, 4):
         assert generate_class(negate_column=col) == enumerate_hadamard4()
+
+
+@pytest.mark.parametrize("negate_column", [1, 2, 3, 4])
+def test_every_member_generates_the_class(negate_column):
+    keys = enumerate_sign_orthogonal(4)
+    members = hadamard.from_keys(keys)
+    signs = np.ones((2, 4), dtype=np.int16)
+    signs[1, negate_column - 1] = -1
+    for chunk in np.split(members, 8):  # 96 seeds: a 2.4 MB int16 orbit per chunk
+        orbit = hadamard.pack_keys(hadamard.signed_orbit(chunk, signs))
+        assert (np.sort(orbit.reshape(len(chunk), -1), axis=1) == keys).all()
+
+
+def test_signed_orbit_is_left_signed_perms_times_column_signs():
+    rng = np.random.default_rng(1)
+    mats = rng.choice([-1, 1], size=(3, 4, 4))
+    column_signs = rng.choice([-1, 1], size=(5, 4))
+    expected = np.einsum("lab,ibc,jc->iljac", hadamard._signed_row_perms(), mats, column_signs)
+    orbit = hadamard.signed_orbit(mats, column_signs)
+    assert orbit.shape == (3, 384, 5, 4, 4)
+    assert np.array_equal(orbit, expected)
 
 
 def test_array_round_trip():

@@ -139,6 +139,12 @@ class TestIncompleteness:
             declared = architecture(name).declared_kind
             assert classify_incompleteness(architecture_matrix(name)) == declared, name
 
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="applies to 4x4"):
+            classify_incompleteness(ExactMatrix.identity(2))
+        with pytest.raises(ValueError, match="does not match the one-missing-splitter pattern"):
+            classify_incompleteness(ExactMatrix.identity(4))
+
     def test_complete_matrices_classified_complete(self):
         for name in ("QRL", "cBSL", "cDBSL", "cMSG", "cMBSL"):
             assert classify_incompleteness(architecture_matrix(name)) == "complete"
